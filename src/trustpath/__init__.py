@@ -17,7 +17,6 @@ from .core import (
     TrustPair,
     TrustValueError,
     classify,
-    complement,
     display_round,
     make_pair,
 )
@@ -52,13 +51,10 @@ from .topology import (
     PathError,
     REFERENCE_EDGES,
     Topology,
-    TopologyDocument,
     TopologyError,
     TopologyParseError,
-    TrustEdge,
     fixture_topology,
     generate_mesh,
-    parse_document,
     parse_topology,
     serialize_topology,
 )
@@ -85,16 +81,13 @@ __all__ = [
     "SimReport",
     "TestMode",
     "Topology",
-    "TopologyDocument",
     "TopologyError",
     "TopologyParseError",
     "TrustClass",
-    "TrustEdge",
     "TrustPair",
     "TrustValueError",
     "Verdict",
     "classify",
-    "complement",
     "display_round",
     "enumerate_paths",
     "evaluate_path",
@@ -102,7 +95,6 @@ __all__ = [
     "generate_mesh",
     "make_pair",
     "most_likely_route",
-    "parse_document",
     "parse_topology",
     "path_mean_trust",
     "path_mean_untrust",

@@ -10,14 +10,13 @@ from .core import DEFAULT_CONSTANTS, ModelConstants, TrustValueError, display_ro
 from .pathing import (
     DEFAULT_PATH_CAP,
     PathCapExceeded,
-    RouteResult,
     enumerate_paths,
     most_likely_route,
     path_mean_trust,
     rank_paths,
 )
-from .propagation import Chaining, PathEvaluation, TestMode, evaluate_path
-from .sim import SimReport, simulate
+from .propagation import Chaining, TestMode, evaluate_path
+from .sim import simulate
 from .topology import PathError, TopologyError, fixture_topology, parse_topology, serialize_topology
 
 EXIT_OK = 0
@@ -228,16 +227,6 @@ def _join(path) -> str:
     return ARROW.join(path)
 
 
-def _print_csv(header, rows) -> None:
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-
-
-def _print_json(command: str, inputs: dict, results) -> None:
-    print(json.dumps({"command": command, "inputs": inputs, "results": results}, indent=2))
-
-
 def _print_table(header, rows) -> None:
     widths = [len(column) for column in header]
     for row in rows:
@@ -256,6 +245,26 @@ def _base_inputs(config: RunConfig) -> dict:
     }
 
 
+def _emit(config: RunConfig, command: str, results: dict, header, rows, **inputs) -> None:
+    """Write a command's records as CSV rows or as its JSON document.
+
+    results is the JSON payload and rows the same records as CSV cells in
+    header order; a node sequence becomes one arrow-joined cell, None an
+    empty cell. inputs are the command's own JSON inputs, after the
+    global ones.
+    """
+    if config.format == "csv":
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(
+            [_join(cell) if isinstance(cell, tuple) else cell for cell in row] for row in rows
+        )
+    else:
+        inputs = {**_base_inputs(config), **inputs}
+        document = {"command": command, "inputs": inputs, "results": results}
+        print(json.dumps(document, indent=2, allow_nan=False))
+
+
 def _cmd_check(args: argparse.Namespace, config: RunConfig) -> int:
     topology = _load_topology(config)
     nodes = tuple(token.strip() for token in args.path_spec.split(","))
@@ -267,65 +276,50 @@ def _cmd_check(args: argparse.Namespace, config: RunConfig) -> int:
         for mode in modes
     ]
     confidential = all(evaluation.confidential for evaluation in evaluations)
+    records = [
+        {
+            "mode": evaluation.mode.value,
+            "path": evaluation.path,
+            "confidential": evaluation.confidential,
+            "hops": [
+                {
+                    "hop": number,
+                    "from": evaluation.path[number - 1],
+                    "to": evaluation.path[number],
+                    "trust": hop.trust,
+                    "untrust": hop.untrust,
+                    "verdict": str(hop.verdict),
+                }
+                for number, hop in enumerate(evaluation.hops, start=1)
+            ],
+        }
+        for evaluation in evaluations
+    ]
 
     if config.format == "text":
         lines = []
-        for evaluation in evaluations:
-            lines.append(f"path {_join(evaluation.path)}")
-            lines.append(f"mode {evaluation.mode.value}")
-            for number, hop in enumerate(evaluation.hops, start=1):
-                src, dst = evaluation.path[number - 1], evaluation.path[number]
+        for record in records:
+            lines.append(f"path {_join(record['path'])}")
+            lines.append(f"mode {record['mode']}")
+            for hop in record["hops"]:
                 lines.append(
-                    f"hop {number} {src}{ARROW}{dst} trust={_fmt(config, hop.trust)} "
-                    f"untrust={_fmt(config, hop.untrust)} {hop.verdict}"
+                    f"hop {hop['hop']} {hop['from']}{ARROW}{hop['to']} "
+                    f"trust={_fmt(config, hop['trust'])} "
+                    f"untrust={_fmt(config, hop['untrust'])} {hop['verdict']}"
                 )
-            lines.append(f"confidential {'yes' if evaluation.confidential else 'no'}")
+            lines.append(f"confidential {'yes' if record['confidential'] else 'no'}")
         print("\n".join(lines))
-    elif config.format == "csv":
-        rows = []
-        for evaluation in evaluations:
-            for number, hop in enumerate(evaluation.hops, start=1):
-                rows.append(
-                    (
-                        evaluation.mode.value,
-                        number,
-                        evaluation.path[number - 1],
-                        evaluation.path[number],
-                        repr(hop.trust),
-                        repr(hop.untrust),
-                        str(hop.verdict),
-                    )
-                )
-        _print_csv(("mode", "hop", "from", "to", "trust", "untrust", "verdict"), rows)
     else:
-        results = {
-            "confidential": confidential,
-            "evaluations": [_evaluation_payload(evaluation) for evaluation in evaluations],
-        }
-        inputs = _base_inputs(config)
-        inputs["path"] = list(nodes)
-        inputs["mode"] = args.mode
-        _print_json("check", inputs, results)
+        _emit(
+            config,
+            "check",
+            {"confidential": confidential, "evaluations": records},
+            ("mode", "hop", "from", "to", "trust", "untrust", "verdict"),
+            ((record["mode"], *hop.values()) for record in records for hop in record["hops"]),
+            path=nodes,
+            mode=args.mode,
+        )
     return EXIT_OK if confidential else EXIT_NEGATIVE
-
-
-def _evaluation_payload(evaluation: PathEvaluation) -> dict:
-    return {
-        "mode": evaluation.mode.value,
-        "path": list(evaluation.path),
-        "confidential": evaluation.confidential,
-        "hops": [
-            {
-                "hop": number,
-                "from": evaluation.path[number - 1],
-                "to": evaluation.path[number],
-                "trust": hop.trust,
-                "untrust": hop.untrust,
-                "verdict": str(hop.verdict),
-            }
-            for number, hop in enumerate(evaluation.hops, start=1)
-        ],
-    }
 
 
 def _cmd_rank(args: argparse.Namespace, config: RunConfig) -> int:
@@ -334,48 +328,33 @@ def _cmd_rank(args: argparse.Namespace, config: RunConfig) -> int:
     topology = _load_topology(config)
     ranked = rank_paths(topology, config.cap)
     shown = ranked if args.top is None else ranked[: args.top]
+    records = [
+        {
+            "rank": entry.rank,
+            "path": entry.path,
+            "mean_trust": entry.mean_trust,
+            "mean_untrust": entry.mean_untrust,
+            "class": entry.trust_class.code,
+        }
+        for entry in shown
+    ]
+    header = ("rank", "path", "mean_trust", "mean_untrust", "class")
 
     if config.format == "text":
         rows = [
             (
-                str(entry.rank),
-                _join(entry.path),
-                _fmt(config, entry.mean_trust),
-                _fmt(config, entry.mean_untrust),
-                entry.trust_class.code,
+                str(record["rank"]),
+                _join(record["path"]),
+                _fmt(config, record["mean_trust"]),
+                _fmt(config, record["mean_untrust"]),
+                record["class"],
             )
-            for entry in shown
+            for record in records
         ]
-        _print_table(("rank", "path", "mean_trust", "mean_untrust", "class"), rows)
-    elif config.format == "csv":
-        rows = [
-            (
-                entry.rank,
-                _join(entry.path),
-                repr(entry.mean_trust),
-                repr(entry.mean_untrust),
-                entry.trust_class.code,
-            )
-            for entry in shown
-        ]
-        _print_csv(("rank", "path", "mean_trust", "mean_untrust", "class"), rows)
+        _print_table(header, rows)
     else:
-        inputs = _base_inputs(config)
-        inputs["top"] = args.top
-        results = {
-            "count": len(ranked),
-            "paths": [
-                {
-                    "rank": entry.rank,
-                    "path": list(entry.path),
-                    "mean_trust": entry.mean_trust,
-                    "mean_untrust": entry.mean_untrust,
-                    "class": entry.trust_class.code,
-                }
-                for entry in shown
-            ],
-        }
-        _print_json("rank", inputs, results)
+        results = {"count": len(ranked), "paths": records}
+        _emit(config, "rank", results, header, map(dict.values, records), top=args.top)
     return EXIT_OK
 
 
@@ -383,15 +362,27 @@ def _cmd_route(args: argparse.Namespace, config: RunConfig) -> int:
     topology = _load_topology(config)
     route = most_likely_route(topology, config.constants)
     mean_trust = path_mean_trust(topology, route.path) if route.reached else None
+    steps = [
+        {
+            "step": number,
+            "from": step.src,
+            "to": step.dst,
+            "edge_trust": step.edge.trust,
+            "trust": step.hop.trust,
+            "untrust": step.hop.untrust,
+            "verdict": str(step.hop.verdict),
+        }
+        for number, step in enumerate(route.steps, start=1)
+    ]
 
     if config.format == "text":
         lines = [f"route {_join(route.path)}"]
-        for number, step in enumerate(route.steps, start=1):
+        for step in steps:
             lines.append(
-                f"step {number} {step.src}{ARROW}{step.dst} "
-                f"edge_trust={_fmt(config, step.edge.trust)} "
-                f"trust={_fmt(config, step.hop.trust)} "
-                f"untrust={_fmt(config, step.hop.untrust)} {step.hop.verdict}"
+                f"step {step['step']} {step['from']}{ARROW}{step['to']} "
+                f"edge_trust={_fmt(config, step['edge_trust'])} "
+                f"trust={_fmt(config, step['trust'])} "
+                f"untrust={_fmt(config, step['untrust'])} {step['verdict']}"
             )
         lines.append(f"reached {'yes' if route.reached else 'no'}")
         if route.reached:
@@ -399,70 +390,34 @@ def _cmd_route(args: argparse.Namespace, config: RunConfig) -> int:
         else:
             lines.append(f"stuck {route.stuck_node}")
         print("\n".join(lines))
-    elif config.format == "csv":
-        rows = [
-            (
-                number,
-                step.src,
-                step.dst,
-                repr(step.edge.trust),
-                repr(step.hop.trust),
-                repr(step.hop.untrust),
-                str(step.hop.verdict),
-                "" if mean_trust is None else repr(mean_trust),
-            )
-            for number, step in enumerate(route.steps, start=1)
-        ]
-        _print_csv(
-            ("step", "from", "to", "edge_trust", "trust", "untrust", "verdict", "mean_trust"),
-            rows,
-        )
     else:
-        _print_json("route", _base_inputs(config), _route_payload(route, mean_trust))
+        results = {
+            "reached": route.reached,
+            "path": route.path,
+            "stuck": route.stuck_node,
+            "mean_trust": mean_trust,
+            "steps": steps,
+        }
+        _emit(
+            config,
+            "route",
+            results,
+            ("step", "from", "to", "edge_trust", "trust", "untrust", "verdict", "mean_trust"),
+            ((*step.values(), mean_trust) for step in steps),
+        )
     return EXIT_OK if route.reached else EXIT_NEGATIVE
-
-
-def _route_payload(route: RouteResult, mean_trust: float | None) -> dict:
-    return {
-        "reached": route.reached,
-        "path": list(route.path),
-        "stuck": route.stuck_node,
-        "mean_trust": mean_trust,
-        "steps": [
-            {
-                "step": number,
-                "from": step.src,
-                "to": step.dst,
-                "edge_trust": step.edge.trust,
-                "trust": step.hop.trust,
-                "untrust": step.hop.untrust,
-                "verdict": str(step.hop.verdict),
-            }
-            for number, step in enumerate(route.steps, start=1)
-        ],
-    }
 
 
 def _cmd_enumerate(args: argparse.Namespace, config: RunConfig) -> int:
     topology = _load_topology(config)
     paths = enumerate_paths(topology, config.cap)
+    records = [{"index": index, "path": path} for index, path in enumerate(paths, start=1)]
     if config.format == "text":
-        for index, path in enumerate(paths, start=1):
-            print(f"{index} {_join(path)}")
-    elif config.format == "csv":
-        _print_csv(
-            ("index", "path"),
-            ((index, _join(path)) for index, path in enumerate(paths, start=1)),
-        )
+        for record in records:
+            print(f"{record['index']} {_join(record['path'])}")
     else:
-        results = {
-            "count": len(paths),
-            "paths": [
-                {"index": index, "path": list(path)}
-                for index, path in enumerate(paths, start=1)
-            ],
-        }
-        _print_json("enumerate", _base_inputs(config), results)
+        results = {"count": len(paths), "paths": records}
+        _emit(config, "enumerate", results, ("index", "path"), map(dict.values, records))
     return EXIT_OK
 
 
@@ -480,50 +435,33 @@ def _cmd_fixture(args: argparse.Namespace, config: RunConfig) -> int:
     return EXIT_OK
 
 
+_TOTALS = ("packets_sent", "delivered", "dropped")
+
+
 def _cmd_simulate(args: argparse.Namespace, config: RunConfig) -> int:
     topology = _load_topology(config)
     report = simulate(topology, args.packets, config.constants)
+    results = {name: getattr(report, name) for name in _TOTALS}
+    results["route_usage"] = [
+        {"path": path, "packets": count} for path, count in report.route_usage.items()
+    ]
+    results["drop_points"] = [
+        {"node": node, "packets": count} for node, count in report.drop_points.items()
+    ]
 
     if config.format == "text":
-        lines = [
-            f"packets_sent {report.packets_sent}",
-            f"delivered {report.delivered}",
-            f"dropped {report.dropped}",
-        ]
-        for path, count in report.route_usage.items():
-            lines.append(f"route {_join(path)} packets={count}")
-        for node, count in report.drop_points.items():
-            lines.append(f"drop {node} packets={count}")
+        lines = [f"{name} {results[name]}" for name in _TOTALS]
+        for use in results["route_usage"]:
+            lines.append(f"route {_join(use['path'])} packets={use['packets']}")
+        for drop in results["drop_points"]:
+            lines.append(f"drop {drop['node']} packets={drop['packets']}")
         print("\n".join(lines))
-    elif config.format == "csv":
-        rows = [
-            ("packets_sent", "", report.packets_sent),
-            ("delivered", "", report.delivered),
-            ("dropped", "", report.dropped),
-        ]
-        rows.extend(("route", _join(path), count) for path, count in report.route_usage.items())
-        rows.extend(("drop", node, count) for node, count in report.drop_points.items())
-        _print_csv(("metric", "key", "value"), rows)
     else:
-        inputs = _base_inputs(config)
-        inputs["packets"] = args.packets
-        _print_json("simulate", inputs, _report_payload(report))
+        rows = [(name, "", results[name]) for name in _TOTALS]
+        rows += [("route", use["path"], use["packets"]) for use in results["route_usage"]]
+        rows += [("drop", drop["node"], drop["packets"]) for drop in results["drop_points"]]
+        _emit(config, "simulate", results, ("metric", "key", "value"), rows, packets=args.packets)
     return EXIT_OK
-
-
-def _report_payload(report: SimReport) -> dict:
-    return {
-        "packets_sent": report.packets_sent,
-        "delivered": report.delivered,
-        "dropped": report.dropped,
-        "route_usage": [
-            {"path": list(path), "packets": count}
-            for path, count in report.route_usage.items()
-        ],
-        "drop_points": [
-            {"node": node, "packets": count} for node, count in report.drop_points.items()
-        ],
-    }
 
 
 _HANDLERS = {

@@ -1,7 +1,8 @@
 """Trust value primitives: pairs, the linguistic scale, and display truncation."""
 
+import math
 from dataclasses import dataclass
-from decimal import ROUND_DOWN, Decimal
+from decimal import ROUND_DOWN, Context, Decimal
 from enum import IntEnum
 
 #: Allowed deviation of trust + untrust from 1 when both components are given.
@@ -110,11 +111,6 @@ def make_pair(
     return pair
 
 
-def complement(pair: TrustPair) -> TrustPair:
-    """Return the pair seen from the distrusting side: components swapped."""
-    return pair.complement()
-
-
 def classify(trust: float) -> TrustClass:
     """Map a numeric trust value in [0, 1] onto the five-label scale.
 
@@ -131,20 +127,29 @@ def classify(trust: float) -> TrustClass:
     raise AssertionError("unreachable: the 0.0 anchor matches every valid value")
 
 
+#: Wide enough to quantize the largest float, 1.8e308, to 12 decimals:
+#: 309 integer digits plus 12 fraction digits.
+_DISPLAY = Context(prec=321)
+
+
 def display_round(value: float, decimals: int) -> str:
     """Format a non-negative value truncated (never rounded up) at `decimals` places.
 
     Truncation operates on the shortest decimal form of the float, so the
     double closest to 0.17 renders as "0.17" rather than "0.16", while
     genuine extra digits are dropped: 0.825 at two decimals is "0.82".
+    Every finite value renders, however large.
     """
     if decimals < 0:
         raise TrustValueError(f"decimals must be >= 0, got {decimals!r}")
     value = float(value)
     if value < 0.0:
         raise TrustValueError(f"cannot display negative value {value!r}")
+    if not math.isfinite(value):
+        raise TrustValueError(f"cannot display non-finite value {value!r}")
     quantum = Decimal(1).scaleb(-decimals)
-    return str(Decimal(repr(value)).quantize(quantum, rounding=ROUND_DOWN))
+    shown = Decimal(repr(value)).quantize(quantum, rounding=ROUND_DOWN, context=_DISPLAY)
+    return f"{shown:f}"  # plain notation: str() would print a tiny value as "0E-12"
 
 
 @dataclass(frozen=True)

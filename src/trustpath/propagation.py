@@ -1,12 +1,14 @@
 """Per-hop trust and untrust matrix tests, verdicts, and path evaluation."""
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import DEFAULT_CONSTANTS, FULL_TRUST, ModelConstants, TrustPair
+from .core import DEFAULT_CONSTANTS, FULL_TRUST, ModelConstants, TrustPair, TrustValueError
 from .topology import Topology
 
-#: Comparisons of the two output components closer than this are a tie.
+#: The two output components are a tie when they differ by at most this
+#: fraction of the larger one, so the verdict does not depend on scale.
 VERDICT_TOL = 1e-12
 
 Matrix = tuple[tuple[float, float], tuple[float, float]]
@@ -72,9 +74,11 @@ class PathEvaluation:
 
 
 def _verdict(trust: float, untrust: float, tol: float = VERDICT_TOL) -> Verdict:
-    if abs(trust - untrust) <= tol:
-        return Verdict.INDIFFERENT
-    return Verdict.ACCEPTABLE if trust > untrust else Verdict.NOT_ACCEPTABLE
+    # Hop outputs are never negative, so the larger component is the larger
+    # magnitude; comparing without abs() and max() keeps the hot path cheap.
+    if trust > untrust:
+        return Verdict.ACCEPTABLE if trust - untrust > tol * trust else Verdict.INDIFFERENT
+    return Verdict.NOT_ACCEPTABLE if untrust - trust > tol * untrust else Verdict.INDIFFERENT
 
 
 def trust_matrix(next_edge: TrustPair, constants: ModelConstants = DEFAULT_CONSTANTS) -> Matrix:
@@ -102,49 +106,39 @@ def untrust_matrix(next_edge: TrustPair, constants: ModelConstants = DEFAULT_CON
     )
 
 
-def _trust_components(
-    arrival_trust: float, arrival_untrust: float, next_edge: TrustPair, c: ModelConstants
-) -> tuple[float, float]:
-    out_trust = arrival_trust * c.theta_min + arrival_untrust * c.theta_max
-    out_untrust = arrival_trust * next_edge.untrust + arrival_untrust * c.theta_ind
-    return out_trust, out_untrust
-
-
-def _untrust_components(
-    arrival_trust: float, arrival_untrust: float, next_edge: TrustPair, c: ModelConstants
-) -> tuple[float, float]:
-    out_untrust = arrival_untrust * c.upsilon_min + arrival_trust * c.upsilon_max
-    out_trust = arrival_untrust * next_edge.trust + arrival_trust * c.upsilon_ind
-    return out_trust, out_untrust
-
-
 def propagate_trust_hop(
-    arrival: TrustPair, next_edge: TrustPair, constants: ModelConstants = DEFAULT_CONSTANTS
+    arrival: TrustPair | HopResult,
+    next_edge: TrustPair,
+    constants: ModelConstants = DEFAULT_CONSTANTS,
 ) -> HopResult:
     """Run the trust test for one hop.
 
     arrival is the state at the current node and next_edge the pair on
-    the edge to the candidate next node. The output trust component is
-    arrival.trust * theta_min + arrival.untrust * theta_max and the
-    untrust component arrival.trust * edge.untrust + arrival.untrust *
-    theta_ind; the verdict compares the two.
+    the edge to the candidate next node. The output is the [trust
+    untrust] row vector of arrival times trust_matrix(next_edge); the
+    verdict compares its two components.
     """
-    trust, untrust = _trust_components(arrival.trust, arrival.untrust, next_edge, constants)
+    (m00, m01), (m10, m11) = trust_matrix(next_edge, constants)
+    trust = arrival.trust * m00 + arrival.untrust * m10
+    untrust = arrival.trust * m01 + arrival.untrust * m11
     return HopResult(trust, untrust, _verdict(trust, untrust))
 
 
 def propagate_untrust_hop(
-    arrival: TrustPair, next_edge: TrustPair, constants: ModelConstants = DEFAULT_CONSTANTS
+    arrival: TrustPair | HopResult,
+    next_edge: TrustPair,
+    constants: ModelConstants = DEFAULT_CONSTANTS,
 ) -> HopResult:
     """Run the untrust test for one hop.
 
-    The arrival state enters in [untrust trust] order, so the output
-    untrust component is arrival.untrust * upsilon_min + arrival.trust *
-    upsilon_max and the trust component arrival.untrust * edge.trust +
-    arrival.trust * upsilon_ind. The result keeps (trust, untrust) slot
-    order like the trust test.
+    The trust test applied to the swapped state: the [untrust trust] row
+    vector of arrival times untrust_matrix(next_edge) gives the output
+    (untrust, trust). The result keeps (trust, untrust) slot order like
+    the trust test.
     """
-    trust, untrust = _untrust_components(arrival.trust, arrival.untrust, next_edge, constants)
+    (m00, m01), (m10, m11) = untrust_matrix(next_edge, constants)
+    untrust = arrival.untrust * m00 + arrival.trust * m10
+    trust = arrival.untrust * m01 + arrival.trust * m11
     return HopResult(trust, untrust, _verdict(trust, untrust))
 
 
@@ -160,20 +154,18 @@ def evaluate_path(
     Hop 1 always starts from full trust (1, 0). Under EDGE chaining hop
     k > 1 arrives with the pair of edge k - 1; under OUTPUT chaining it
     arrives with hop k - 1's output vector, which may drift outside
-    [0, 1]. The path must be a valid simple path of the topology.
+    [0, 1]; should it pass the largest float, TrustValueError names the
+    hop. The path must be a valid simple path of the topology.
     """
     nodes = topology.validate_path(path)
-    components = _trust_components if mode is TestMode.TRUST else _untrust_components
-    edge_pairs = [topology.edge(src, dst) for src, dst in zip(nodes, nodes[1:])]
+    hop_test = propagate_trust_hop if mode is TestMode.TRUST else propagate_untrust_hop
     hops: list[HopResult] = []
-    arrival = (FULL_TRUST.trust, FULL_TRUST.untrust)
-    for index, edge in enumerate(edge_pairs):
-        if index > 0:
-            if chaining is Chaining.EDGE:
-                previous = edge_pairs[index - 1]
-                arrival = (previous.trust, previous.untrust)
-            else:
-                arrival = (hops[-1].trust, hops[-1].untrust)
-        trust, untrust = components(arrival[0], arrival[1], edge, constants)
-        hops.append(HopResult(trust, untrust, _verdict(trust, untrust)))
+    arrival: TrustPair | HopResult = FULL_TRUST
+    for number, (src, dst) in enumerate(zip(nodes, nodes[1:]), start=1):
+        edge = topology.edge(src, dst)
+        hop = hop_test(arrival, edge, constants)
+        if not (math.isfinite(hop.trust) and math.isfinite(hop.untrust)):
+            raise TrustValueError(f"hop {number} {src} -> {dst}: output overflows the float range")
+        hops.append(hop)
+        arrival = edge if chaining is Chaining.EDGE else hop
     return PathEvaluation(nodes, tuple(hops), mode)

@@ -1,7 +1,6 @@
 """Topology model, the line-oriented .trust file format, and generators."""
 
-from collections.abc import Iterable, Iterator, Mapping
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping
 
 from .core import COMPLEMENT_TOL, TrustPair, TrustValueError, make_pair
 
@@ -27,15 +26,6 @@ class PathError(ValueError):
     """A node sequence is not a valid source-to-destination path."""
 
 
-@dataclass(frozen=True)
-class TrustEdge:
-    """A directed edge together with its trust pair."""
-
-    src: str
-    dst: str
-    pair: TrustPair
-
-
 def _check_node_id(name: str) -> None:
     if not isinstance(name, str) or not name:
         raise TopologyError(f"node id must be a non-empty string, got {name!r}")
@@ -58,14 +48,15 @@ class Topology:
         source: str,
         destination: str,
     ):
-        self.nodes: tuple[str, ...] = tuple(nodes)
-        seen: set[str] = set()
-        for node in self.nodes:
+        # Each node and edge is checked as it is drawn from its iterable, which
+        # lets parse_topology tell which declaration an error belongs to.
+        self._order: dict[str, int] = {}
+        for node in nodes:
             _check_node_id(node)
-            if node in seen:
+            if node in self._order:
                 raise TopologyError(f"duplicate node {node!r}")
-            seen.add(node)
-        self._order = {node: index for index, node in enumerate(self.nodes)}
+            self._order[node] = len(self._order)
+        self.nodes: tuple[str, ...] = tuple(self._order)
         for role, name in (("source", source), ("destination", destination)):
             if name not in self._order:
                 raise TopologyError(f"{role} {name!r} is not a declared node")
@@ -104,11 +95,6 @@ class Topology:
     @property
     def edge_count(self) -> int:
         return len(self._pairs)
-
-    def edges(self) -> Iterator[TrustEdge]:
-        """Edges in insertion order."""
-        for (src, dst), pair in self._pairs.items():
-            yield TrustEdge(src, dst, pair)
 
     def edge_pairs(self) -> dict[tuple[str, str], TrustPair]:
         """A copy of the (src, dst) -> TrustPair mapping."""
@@ -181,107 +167,37 @@ class Topology:
         )
 
 
-@dataclass(frozen=True)
-class NodeDecl:
-    """A node, source or dest declaration with its source line."""
-
-    name: str
-    line: int
-
-
-@dataclass(frozen=True)
-class EdgeDecl:
-    """An edge declaration with its source line; untrust may be omitted."""
-
-    src: str
-    dst: str
-    trust: float
-    untrust: float | None
-    line: int
-
-
-@dataclass(frozen=True)
-class TopologyDocument:
-    """The raw declarations of a topology file, before semantic checks."""
-
-    nodes: tuple[NodeDecl, ...]
-    source: NodeDecl | None
-    dest: NodeDecl | None
-    edges: tuple[EdgeDecl, ...]
-
-    def to_topology(self, *, strict: bool = True, tol: float = COMPLEMENT_TOL) -> Topology:
-        """Resolve the declarations into a validated Topology."""
-        if self.source is None:
-            raise TopologyParseError("missing source declaration")
-        if self.dest is None:
-            raise TopologyParseError("missing dest declaration")
-        declared: dict[str, NodeDecl] = {}
-        for decl in self.nodes:
-            if decl.name in declared:
-                raise TopologyParseError(f"duplicate node {decl.name!r}", decl.line)
-            declared[decl.name] = decl
-        for role, decl in (("source", self.source), ("dest", self.dest)):
-            if decl.name not in declared:
-                raise TopologyParseError(f"{role} {decl.name!r} is not a declared node", decl.line)
-        if self.source.name == self.dest.name:
-            raise TopologyParseError("source and dest must differ", self.dest.line)
-
-        pairs: dict[tuple[str, str], TrustPair] = {}
-        for edge in self.edges:
-            for endpoint in (edge.src, edge.dst):
-                if endpoint not in declared:
-                    raise TopologyParseError(f"undeclared node {endpoint!r}", edge.line)
-            if edge.src == edge.dst:
-                raise TopologyParseError(f"self-loop on {edge.src!r}", edge.line)
-            if (edge.src, edge.dst) in pairs:
-                raise TopologyParseError(f"duplicate edge {edge.src} -> {edge.dst}", edge.line)
-            try:
-                pairs[(edge.src, edge.dst)] = make_pair(
-                    edge.trust, edge.untrust, strict=strict, tol=tol
-                )
-            except TrustValueError as err:
-                raise TopologyParseError(str(err), edge.line) from None
-        try:
-            return Topology(declared, pairs, self.source.name, self.dest.name)
-        except TopologyError as err:
-            raise TopologyParseError(str(err)) from None
-
-
-def parse_document(text: str) -> TopologyDocument:
-    """Tokenize a topology file into declarations, checking syntax only.
+def parse_topology(text: str, *, strict: bool = True, tol: float = COMPLEMENT_TOL) -> Topology:
+    """Parse topology text into a validated Topology.
 
     Each non-blank line holds one declaration: ``node <id>``,
     ``source <id>``, ``dest <id>`` or ``edge <from> <to> <trust>
     [<untrust>]``. ``#`` starts a comment that runs to end of line;
     declarations may appear in any order; both LF and CRLF line endings
-    are accepted.
+    are accepted, and so is a leading UTF-8 byte order mark.
+
+    An omitted edge untrust defaults to 1 - trust. With strict=True every
+    explicitly given pair must sum to one within tol; strict=False keeps
+    only the [0, 1] range checks. Errors raise TopologyParseError carrying
+    the offending line number where known.
     """
-    nodes: list[NodeDecl] = []
-    source: NodeDecl | None = None
-    dest: NodeDecl | None = None
-    edges: list[EdgeDecl] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    nodes: list[tuple[int, str]] = []
+    roles: dict[str, tuple[int, str]] = {}
+    edges: list[tuple[int, tuple[str, str, TrustPair]]] = []
+    for lineno, raw in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        tokens = line.split()
-        kind, args = tokens[0], tokens[1:]
-        if kind == "node":
-            if len(args) != 1:
-                raise TopologyParseError("node takes exactly one identifier", lineno)
-            nodes.append(NodeDecl(args[0], lineno))
-        elif kind in ("source", "dest"):
+        kind, *args = line.split()
+        if kind in ("node", "source", "dest"):
             if len(args) != 1:
                 raise TopologyParseError(f"{kind} takes exactly one identifier", lineno)
-            decl = NodeDecl(args[0], lineno)
-            if kind == "source":
-                if source is not None:
-                    raise TopologyParseError("source already declared", lineno)
-                source = decl
+            if kind == "node":
+                nodes.append((lineno, args[0]))
+            elif kind in roles:
+                raise TopologyParseError(f"{kind} already declared", lineno)
             else:
-                if dest is not None:
-                    raise TopologyParseError("dest already declared", lineno)
-                dest = decl
+                roles[kind] = (lineno, args[0])
         elif kind == "edge":
             if len(args) not in (3, 4):
                 raise TopologyParseError(
@@ -293,25 +209,37 @@ def parse_document(text: str) -> TopologyDocument:
                     values.append(float(token))
                 except ValueError:
                     raise TopologyParseError(f"not a number: {token!r}", lineno) from None
-            for label, value in zip(("trust", "untrust"), values):
-                if not 0.0 <= value <= 1.0:
-                    raise TopologyParseError(f"{label} value {value!r} outside [0, 1]", lineno)
-            untrust = values[1] if len(values) == 2 else None
-            edges.append(EdgeDecl(args[0], args[1], values[0], untrust, lineno))
+            try:
+                pair = make_pair(*values, strict=strict, tol=tol)
+            except TrustValueError as err:
+                raise TopologyParseError(str(err), lineno) from None
+            edges.append((lineno, (args[0], args[1], pair)))
         else:
             raise TopologyParseError(f"unknown declaration {kind!r}", lineno)
-    return TopologyDocument(tuple(nodes), source, dest, tuple(edges))
+    for kind in ("source", "dest"):
+        if kind not in roles:
+            raise TopologyParseError(f"missing {kind} declaration")
+    (source_line, source), (dest_line, dest) = roles["source"], roles["dest"]
 
+    # Topology checks each node and edge as it draws it from these streams,
+    # so when it raises, `line` is the line of the declaration it was
+    # checking; None means it was checking source and dest, which it does
+    # between the two streams.
+    line: int | None = None
 
-def parse_topology(text: str, *, strict: bool = True, tol: float = COMPLEMENT_TOL) -> Topology:
-    """Parse topology text into a validated Topology.
+    def tracked(declarations):
+        nonlocal line
+        for line, item in declarations:
+            yield item
+        line = None
 
-    An omitted edge untrust defaults to 1 - trust. With strict=True every
-    explicitly given pair must sum to one within tol; strict=False keeps
-    only the [0, 1] range checks. Errors raise TopologyParseError carrying
-    the offending line number where known.
-    """
-    return parse_document(text).to_topology(strict=strict, tol=tol)
+    try:
+        return Topology(tracked(nodes), tracked(edges), source, dest)
+    except TopologyError as err:
+        if line is None:
+            source_declared = any(name == source for _, name in nodes)
+            line = dest_line if source_declared else source_line
+        raise TopologyParseError(str(err), line) from None
 
 
 def serialize_topology(topology: Topology) -> str:

@@ -40,6 +40,13 @@ def random_topology(rng: random.Random) -> Topology:
     return Topology(nodes, pairs, source, destination)
 
 
+def chain_topology(hops: int, trust: float) -> Topology:
+    """A single path n0 -> n1 -> ... -> n<hops> whose edges all carry make_pair(trust)."""
+    nodes = [f"n{i}" for i in range(hops + 1)]
+    pairs = {(src, dst): make_pair(trust) for src, dst in zip(nodes, nodes[1:])}
+    return Topology(nodes, pairs, nodes[0], nodes[-1])
+
+
 def brute_force_paths(topology: Topology) -> list[tuple[str, ...]]:
     """All simple source-to-destination paths, found by filtering permutations."""
     inner = [

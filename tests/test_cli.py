@@ -6,8 +6,14 @@ import json
 
 import pytest
 
-from helpers import run_cli
-from trustpath import display_round, fixture_topology, parse_topology, rank_paths
+from helpers import chain_topology, run_cli
+from trustpath import (
+    display_round,
+    fixture_topology,
+    parse_topology,
+    rank_paths,
+    serialize_topology,
+)
 from trustpath.cli import main
 
 DEAD_END = (
@@ -250,6 +256,59 @@ def test_parse_error_reports_line_and_exits_one(tmp_path, capsys):
     code, _, err = run_cli(capsys, "route", "-t", str(bad))
     assert code == 1
     assert "line 1" in err
+
+
+def test_byte_order_mark_is_accepted(tmp_path, capsys):
+    marked = tmp_path / "bom.trust"
+    marked.write_text(serialize_topology(fixture_topology()), encoding="utf-8-sig")
+    code, out, err = run_cli(capsys, "route", "-t", str(marked))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == "route S→3→7→11→D"
+
+
+def _chain_check(tmp_path, capsys, trust: float, fmt: str):
+    chain = chain_topology(2000, trust)
+    document = tmp_path / "chain.trust"
+    document.write_text(serialize_topology(chain), encoding="utf-8")
+    return run_cli(
+        capsys, "check", ",".join(chain.nodes), "-t", str(document),
+        "--chaining", "output", "--format", fmt,
+    )
+
+
+def _strict_json(text: str):
+    def refuse(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_output_chaining_overflow_exits_one(tmp_path, capsys, fmt):
+    # trust-0.0 edges grow the output about 1.5 times per hop, past the
+    # largest float before hop 2,000
+    code, out, err = _chain_check(tmp_path, capsys, 0.0, fmt)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: hop ") and err.endswith("overflows the float range\n")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_output_chaining_huge_finite_values_render(tmp_path, capsys, fmt):
+    # trust-0.3 edges reach about 1e255 by hop 2,000, still finite
+    code, out, err = _chain_check(tmp_path, capsys, 0.3, fmt)
+    assert (code, err) == (2, "")  # hop 1 is not acceptable
+    if fmt == "text":
+        last = out.splitlines()[-2].split()
+        assert last[:2] == ["hop", "2000"]
+        assert len(last[3].removeprefix("trust=")) == 255 + 1 + 2
+    elif fmt == "csv":
+        rows = list(csv.reader(io.StringIO(out)))
+        assert len(rows) == 2001
+        assert 1e254 < float(rows[-1][4]) < 1e256
+    else:
+        hops = _strict_json(out)["results"]["evaluations"][0]["hops"]
+        assert 1e254 < hops[-1]["trust"] < 1e256
 
 
 def test_nonstrict_flag_allows_relaxed_pairs(tmp_path, capsys):

@@ -11,7 +11,6 @@ from trustpath import (
     TrustPair,
     TrustValueError,
     classify,
-    complement,
     display_round,
     make_pair,
 )
@@ -63,16 +62,16 @@ def test_full_trust_extreme():
 
 
 def test_complement_examples():
-    assert complement(TrustPair(1.0, 0.0)) == TrustPair(0.0, 1.0)
-    assert complement(TrustPair(0.5, 0.5)) == TrustPair(0.5, 0.5)
-    assert complement(TrustPair(0.95, 0.05)) == TrustPair(0.05, 0.95)
+    assert TrustPair(1.0, 0.0).complement() == TrustPair(0.0, 1.0)
+    assert TrustPair(0.5, 0.5).complement() == TrustPair(0.5, 0.5)
+    assert TrustPair(0.95, 0.05).complement() == TrustPair(0.05, 0.95)
 
 
 @settings(max_examples=1000)
 @given(trust=unit, untrust=unit)
 def test_complement_is_involution(trust, untrust):
     pair = TrustPair(trust, untrust)
-    assert complement(complement(pair)) == pair
+    assert pair.complement().complement() == pair
 
 
 def test_classify_scale_values():
@@ -130,6 +129,18 @@ def test_display_round_truncates():
 def test_display_round_zero_decimals():
     assert display_round(0.999, 0) == "0"
     assert display_round(1.0, 0) == "1"
+
+
+def test_display_round_renders_every_finite_value():
+    assert display_round(1e26, 2) == "100000000000000000000000000.00"
+    largest = display_round(1.7976931348623157e308, 12)
+    assert largest.startswith("17976931348623157") and largest.endswith("." + "0" * 12)
+    assert len(largest) == 309 + 1 + 12
+    assert display_round(0.0, 12) == "0." + "0" * 12  # not "0E-12"
+    assert display_round(5e-324, 7) == "0.0000000"
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(TrustValueError):
+            display_round(bad, 2)
 
 
 def test_display_round_rejects_bad_input():

@@ -2,9 +2,12 @@
 
 import random
 
+import math
+
 import numpy as np
 import pytest
 
+from helpers import chain_topology
 from trustpath import (
     Chaining,
     ModelConstants,
@@ -12,6 +15,7 @@ from trustpath import (
     TestMode,
     Topology,
     TrustPair,
+    TrustValueError,
     Verdict,
     evaluate_path,
     fixture_topology,
@@ -192,6 +196,26 @@ def test_output_chaining_untrust_frozen_values(demo_topology):
     for hop, (trust, untrust) in zip(evaluation.hops, expected):
         assert hop.trust == pytest.approx(trust, abs=TOL)
         assert hop.untrust == pytest.approx(untrust, abs=TOL)
+
+
+def test_output_chaining_verdicts_do_not_depend_on_scale():
+    # Both components shrink by about 0.82 per hop, to 1e-171 by the end,
+    # while trust stays about 3.2 times untrust: every hop is acceptable.
+    chain = chain_topology(2000, 0.9)
+    evaluation = evaluate_path(chain, chain.nodes, chaining=Chaining.OUTPUT)
+    assert evaluation.hops[-1].trust < 1e-170
+    assert all(hop.verdict is Verdict.ACCEPTABLE for hop in evaluation.hops)
+
+
+def test_output_chaining_overflow_names_the_hop():
+    # oracle: the trust-test recurrence on plain floats, edge untrust 1.0
+    trust, untrust, hop = 1.0, 0.0, 0
+    while math.isfinite(trust) and math.isfinite(untrust):
+        trust, untrust, hop = trust * 0.51 + untrust * 1.0, trust * 1.0 + untrust * 0.5, hop + 1
+    chain = chain_topology(2000, 0.0)
+    with pytest.raises(TrustValueError, match=rf"^hop {hop} n{hop - 1} -> n{hop}: "):
+        evaluate_path(chain, chain.nodes, chaining=Chaining.OUTPUT)
+    assert evaluate_path(chain, chain.nodes).confidential is False  # edge chaining stays finite
 
 
 def test_evaluate_path_rejects_bad_paths(demo_topology):

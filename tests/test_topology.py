@@ -15,7 +15,6 @@ from trustpath import (
     fixture_topology,
     generate_mesh,
     make_pair,
-    parse_document,
     parse_topology,
     serialize_topology,
 )
@@ -52,19 +51,19 @@ def test_parse_accepts_any_declaration_order():
     assert topology.edge("S", "D") == TrustPair(0.6, 0.4)
 
 
+def test_parse_drops_a_byte_order_mark():
+    text = "\ufeff" + serialize_topology(fixture_topology())
+    assert parse_topology(text) == fixture_topology()
+    with pytest.raises(TopologyParseError) as excinfo:
+        parse_topology("\ufeffedge S D 1.5 0\n")
+    assert excinfo.value.line == 1
+
+
 def test_parse_fills_omitted_untrust():
     topology = parse_topology("node S\nnode D\nsource S\ndest D\nedge S D 0.75\n")
     pair = topology.edge("S", "D")
     assert pair.trust == 0.75
     assert pair.untrust == pytest.approx(0.25, abs=1e-15)
-
-
-def test_parse_document_keeps_lines():
-    doc = parse_document("node S\n\nnode D\nsource S\ndest D\nedge S D 0.75\n")
-    assert [decl.line for decl in doc.nodes] == [1, 3]
-    assert doc.source.line == 4
-    assert doc.edges[0].line == 6
-    assert doc.edges[0].untrust is None
 
 
 def test_parse_error_carries_line_number():
@@ -89,6 +88,7 @@ def test_parse_error_carries_line_number():
         ("node S\nnode D\nsource S\ndest D\nedge S X 0.5\n", 5),  # undeclared node
         ("node S\nnode D\nsource S\ndest D\nedge S S 0.5\n", 5),  # self-loop
         ("node S\nnode D\nsource X\ndest D\n", 3),  # undeclared source
+        ("node S\nnode D\ndest X\nsource S\n", 3),  # undeclared dest
         ("node S\nsource S\ndest S\n", 3),  # source equals dest
     ],
 )
@@ -161,10 +161,10 @@ def test_demo_fixture_reference_edges(demo_topology):
 
 def test_demo_fixture_fill_is_indifferent(demo_topology):
     filler = [
-        edge for edge in demo_topology.edges() if (edge.src, edge.dst) not in REFERENCE_EDGES
+        pair for key, pair in demo_topology.edge_pairs().items() if key not in REFERENCE_EDGES
     ]
     assert len(filler) == 26
-    assert all(edge.pair == TrustPair(0.5, 0.5) for edge in filler)
+    assert all(pair == TrustPair(0.5, 0.5) for pair in filler)
 
 
 def test_demo_fixture_round_trips_strict(demo_topology):
