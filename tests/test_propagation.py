@@ -1,8 +1,7 @@
 """Per-hop matrix tests, verdicts, and path evaluation chains."""
 
-import random
-
 import math
+import random
 
 import numpy as np
 import pytest
