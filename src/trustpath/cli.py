@@ -4,7 +4,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, fields
 
 from .core import DEFAULT_CONSTANTS, ModelConstants, TrustValueError, display_round
 from .pathing import (
@@ -34,23 +34,6 @@ _CONSTANT_FLAGS = (
     ("upsilon-max", "untrust-test matrix entry paired with the arrival trust"),
     ("upsilon-ind", "untrust-test indifference entry"),
 )
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved global options for one command invocation."""
-
-    topology: str | None = None
-    format: str = "text"
-    decimals: int = 2
-    strict: bool = True
-    chaining: Chaining = Chaining.EDGE
-    cap: int = DEFAULT_PATH_CAP
-    constants: ModelConstants = DEFAULT_CONSTANTS
-
-    def __post_init__(self):
-        if not 0 <= self.decimals <= 12:
-            raise TrustValueError(f"decimals must be in [0, 12], got {self.decimals}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -186,66 +169,42 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    constants = ModelConstants(
-        theta_min=args.theta_min,
-        theta_max=args.theta_max,
-        theta_ind=args.theta_ind,
-        upsilon_min=args.upsilon_min,
-        upsilon_max=args.upsilon_max,
-        upsilon_ind=args.upsilon_ind,
-    )
-    if args.cap < 1:
-        raise TrustValueError(f"cap must be >= 1, got {args.cap}")
-    return RunConfig(
-        topology=args.topology,
-        format=args.format,
-        decimals=args.decimals,
-        strict=args.strict,
-        chaining=Chaining(args.chaining),
-        cap=args.cap,
-        constants=constants,
-    )
-
-
-def _load_topology(config: RunConfig):
-    if not config.topology:
+def _load_topology(args: argparse.Namespace):
+    if not args.topology:
         raise TopologyError("no topology given; pass --topology FILE, or '-' for stdin")
-    if config.topology == "-":
+    if args.topology == "-":
         text = sys.stdin.read()
     else:
-        with open(config.topology, "r", encoding="utf-8") as handle:
+        with open(args.topology, "r", encoding="utf-8") as handle:
             text = handle.read()
-    return parse_topology(text, strict=config.strict)
+    return parse_topology(text, strict=args.strict)
 
 
-def _fmt(config: RunConfig, value: float) -> str:
-    return display_round(value, config.decimals)
+def _text(value, decimals: int) -> str:
+    """A record value as text: nodes as an arrow path, yes/no, a float truncated at decimals."""
+    if isinstance(value, tuple):
+        return ARROW.join(value)
+    if isinstance(value, bool):
+        return "yes" if value else "no"
+    if isinstance(value, float):
+        return display_round(value, decimals)
+    return str(value)
 
 
-def _join(path) -> str:
-    return ARROW.join(path)
+def _step_line(step: dict, decimals: int) -> str:
+    """A check hop or route step as '<kind> <n> <from>→<to> <name>=<value>... <verdict>'."""
+    (kind, number), (_, src), (_, dst), *values, (_, verdict) = step.items()
+    scores = " ".join(f"{name}={_text(value, decimals)}" for name, value in values)
+    return f"{kind} {number} {src}{ARROW}{dst} {scores} {verdict}"
 
 
 def _print_table(header, rows) -> None:
-    widths = [len(column) for column in header]
-    for row in rows:
-        widths = [max(width, len(cell)) for width, cell in zip(widths, row)]
+    widths = [max(map(len, column)) for column in zip(header, *rows)]
     for row in (header, *rows):
         print("  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip())
 
 
-def _base_inputs(config: RunConfig) -> dict:
-    return {
-        "topology": config.topology,
-        "strict": config.strict,
-        "chaining": config.chaining.value,
-        "cap": config.cap,
-        "constants": asdict(config.constants),
-    }
-
-
-def _emit(config: RunConfig, command: str, results: dict, header, rows, **inputs) -> None:
+def _emit(args: argparse.Namespace, results: dict, header, rows, **inputs) -> None:
     """Write a command's records as CSV rows or as its JSON document.
 
     results is the JSON payload and rows the same records as CSV cells in
@@ -253,27 +212,28 @@ def _emit(config: RunConfig, command: str, results: dict, header, rows, **inputs
     empty cell. inputs are the command's own JSON inputs, after the
     global ones.
     """
-    if config.format == "csv":
+    if args.format == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(
-            [_join(cell) if isinstance(cell, tuple) else cell for cell in row] for row in rows
+            [ARROW.join(cell) if isinstance(cell, tuple) else cell for cell in row] for row in rows
         )
     else:
-        inputs = {**_base_inputs(config), **inputs}
-        document = {"command": command, "inputs": inputs, "results": results}
+        base = {name: getattr(args, name) for name in ("topology", "strict", "chaining", "cap")}
+        inputs = {**base, "constants": asdict(args.constants), **inputs}
+        document = {"command": args.command, "inputs": inputs, "results": results}
         print(json.dumps(document, indent=2, allow_nan=False))
 
 
-def _cmd_check(args: argparse.Namespace, config: RunConfig) -> int:
-    topology = _load_topology(config)
+def _cmd_check(args: argparse.Namespace) -> int:
+    topology = _load_topology(args)
     nodes = tuple(token.strip() for token in args.path_spec.split(","))
     if any(not node for node in nodes):
         raise PathError(f"empty node id in path spec {args.path_spec!r}")
     modes = [TestMode.TRUST, TestMode.UNTRUST] if args.mode == "both" else [TestMode(args.mode)]
+    chaining = Chaining(args.chaining)
     evaluations = [
-        evaluate_path(topology, nodes, config.constants, mode, config.chaining)
-        for mode in modes
+        evaluate_path(topology, nodes, args.constants, mode, chaining) for mode in modes
     ]
     confidential = all(evaluation.confidential for evaluation in evaluations)
     records = [
@@ -296,23 +256,16 @@ def _cmd_check(args: argparse.Namespace, config: RunConfig) -> int:
         for evaluation in evaluations
     ]
 
-    if config.format == "text":
+    if args.format == "text":
         lines = []
         for record in records:
-            lines.append(f"path {_join(record['path'])}")
-            lines.append(f"mode {record['mode']}")
-            for hop in record["hops"]:
-                lines.append(
-                    f"hop {hop['hop']} {hop['from']}{ARROW}{hop['to']} "
-                    f"trust={_fmt(config, hop['trust'])} "
-                    f"untrust={_fmt(config, hop['untrust'])} {hop['verdict']}"
-                )
-            lines.append(f"confidential {'yes' if record['confidential'] else 'no'}")
+            lines += [f"path {_text(record['path'], args.decimals)}", f"mode {record['mode']}"]
+            lines.extend(_step_line(hop, args.decimals) for hop in record["hops"])
+            lines.append(f"confidential {_text(record['confidential'], args.decimals)}")
         print("\n".join(lines))
     else:
         _emit(
-            config,
-            "check",
+            args,
             {"confidential": confidential, "evaluations": records},
             ("mode", "hop", "from", "to", "trust", "untrust", "verdict"),
             ((record["mode"], *hop.values()) for record in records for hop in record["hops"]),
@@ -322,11 +275,11 @@ def _cmd_check(args: argparse.Namespace, config: RunConfig) -> int:
     return EXIT_OK if confidential else EXIT_NEGATIVE
 
 
-def _cmd_rank(args: argparse.Namespace, config: RunConfig) -> int:
+def _cmd_rank(args: argparse.Namespace) -> int:
     if args.top is not None and args.top < 1:
         raise TrustValueError(f"--top must be >= 1, got {args.top}")
-    topology = _load_topology(config)
-    ranked = rank_paths(topology, config.cap)
+    topology = _load_topology(args)
+    ranked = rank_paths(topology, args.cap)
     shown = ranked if args.top is None else ranked[: args.top]
     records = [
         {
@@ -340,27 +293,29 @@ def _cmd_rank(args: argparse.Namespace, config: RunConfig) -> int:
     ]
     header = ("rank", "path", "mean_trust", "mean_untrust", "class")
 
-    if config.format == "text":
+    if args.format == "text":
+        # Formatted column by column: these rows are most of a full listing's cost.
+        decimals = args.decimals
         rows = [
             (
-                str(record["rank"]),
-                _join(record["path"]),
-                _fmt(config, record["mean_trust"]),
-                _fmt(config, record["mean_untrust"]),
-                record["class"],
+                str(rank),
+                ARROW.join(path),
+                display_round(trust, decimals),
+                display_round(untrust, decimals),
+                code,
             )
-            for record in records
+            for rank, path, trust, untrust, code in map(dict.values, records)
         ]
         _print_table(header, rows)
     else:
         results = {"count": len(ranked), "paths": records}
-        _emit(config, "rank", results, header, map(dict.values, records), top=args.top)
+        _emit(args, results, header, map(dict.values, records), top=args.top)
     return EXIT_OK
 
 
-def _cmd_route(args: argparse.Namespace, config: RunConfig) -> int:
-    topology = _load_topology(config)
-    route = most_likely_route(topology, config.constants)
+def _cmd_route(args: argparse.Namespace) -> int:
+    topology = _load_topology(args)
+    route = most_likely_route(topology, args.constants)
     mean_trust = path_mean_trust(topology, route.path) if route.reached else None
     steps = [
         {
@@ -375,18 +330,13 @@ def _cmd_route(args: argparse.Namespace, config: RunConfig) -> int:
         for number, step in enumerate(route.steps, start=1)
     ]
 
-    if config.format == "text":
-        lines = [f"route {_join(route.path)}"]
-        for step in steps:
-            lines.append(
-                f"step {step['step']} {step['from']}{ARROW}{step['to']} "
-                f"edge_trust={_fmt(config, step['edge_trust'])} "
-                f"trust={_fmt(config, step['trust'])} "
-                f"untrust={_fmt(config, step['untrust'])} {step['verdict']}"
-            )
-        lines.append(f"reached {'yes' if route.reached else 'no'}")
+    if args.format == "text":
+        decimals = args.decimals
+        lines = [f"route {_text(route.path, decimals)}"]
+        lines.extend(_step_line(step, decimals) for step in steps)
+        lines.append(f"reached {_text(route.reached, decimals)}")
         if route.reached:
-            lines.append(f"mean_trust {_fmt(config, mean_trust)}")
+            lines.append(f"mean_trust {_text(mean_trust, decimals)}")
         else:
             lines.append(f"stuck {route.stuck_node}")
         print("\n".join(lines))
@@ -399,8 +349,7 @@ def _cmd_route(args: argparse.Namespace, config: RunConfig) -> int:
             "steps": steps,
         }
         _emit(
-            config,
-            "route",
+            args,
             results,
             ("step", "from", "to", "edge_trust", "trust", "untrust", "verdict", "mean_trust"),
             ((*step.values(), mean_trust) for step in steps),
@@ -408,16 +357,16 @@ def _cmd_route(args: argparse.Namespace, config: RunConfig) -> int:
     return EXIT_OK if route.reached else EXIT_NEGATIVE
 
 
-def _cmd_enumerate(args: argparse.Namespace, config: RunConfig) -> int:
-    topology = _load_topology(config)
-    paths = enumerate_paths(topology, config.cap)
+def _cmd_enumerate(args: argparse.Namespace) -> int:
+    topology = _load_topology(args)
+    paths = enumerate_paths(topology, args.cap)
     records = [{"index": index, "path": path} for index, path in enumerate(paths, start=1)]
-    if config.format == "text":
+    if args.format == "text":
         for record in records:
-            print(f"{record['index']} {_join(record['path'])}")
+            print(f"{record['index']} {ARROW.join(record['path'])}")
     else:
         results = {"count": len(paths), "paths": records}
-        _emit(config, "enumerate", results, ("index", "path"), map(dict.values, records))
+        _emit(args, results, ("index", "path"), map(dict.values, records))
     return EXIT_OK
 
 
@@ -428,7 +377,7 @@ _FIXTURE_HEADER = (
 )
 
 
-def _cmd_fixture(args: argparse.Namespace, config: RunConfig) -> int:
+def _cmd_fixture(args: argparse.Namespace) -> int:
     # Always emits the topology document itself, whatever --format says.
     sys.stdout.write(_FIXTURE_HEADER)
     sys.stdout.write(serialize_topology(fixture_topology()))
@@ -438,9 +387,9 @@ def _cmd_fixture(args: argparse.Namespace, config: RunConfig) -> int:
 _TOTALS = ("packets_sent", "delivered", "dropped")
 
 
-def _cmd_simulate(args: argparse.Namespace, config: RunConfig) -> int:
-    topology = _load_topology(config)
-    report = simulate(topology, args.packets, config.constants)
+def _cmd_simulate(args: argparse.Namespace) -> int:
+    topology = _load_topology(args)
+    report = simulate(topology, args.packets, args.constants)
     results = {name: getattr(report, name) for name in _TOTALS}
     results["route_usage"] = [
         {"path": path, "packets": count} for path, count in report.route_usage.items()
@@ -448,19 +397,19 @@ def _cmd_simulate(args: argparse.Namespace, config: RunConfig) -> int:
     results["drop_points"] = [
         {"node": node, "packets": count} for node, count in report.drop_points.items()
     ]
+    rows = [(name, "", results[name]) for name in _TOTALS]
+    rows += [("route", use["path"], use["packets"]) for use in results["route_usage"]]
+    rows += [("drop", drop["node"], drop["packets"]) for drop in results["drop_points"]]
 
-    if config.format == "text":
-        lines = [f"{name} {results[name]}" for name in _TOTALS]
-        for use in results["route_usage"]:
-            lines.append(f"route {_join(use['path'])} packets={use['packets']}")
-        for drop in results["drop_points"]:
-            lines.append(f"drop {drop['node']} packets={drop['packets']}")
+    if args.format == "text":
+        decimals = args.decimals
+        lines = [
+            f"{metric} {value}" if key == "" else f"{metric} {_text(key, decimals)} packets={value}"
+            for metric, key, value in rows
+        ]
         print("\n".join(lines))
     else:
-        rows = [(name, "", results[name]) for name in _TOTALS]
-        rows += [("route", use["path"], use["packets"]) for use in results["route_usage"]]
-        rows += [("drop", drop["node"], drop["packets"]) for drop in results["drop_points"]]
-        _emit(config, "simulate", results, ("metric", "key", "value"), rows, packets=args.packets)
+        _emit(args, results, ("metric", "key", "value"), rows, packets=args.packets)
     return EXIT_OK
 
 
@@ -485,8 +434,14 @@ def main(argv: list[str] | None = None) -> int:
             return code
         return EXIT_INPUT_ERROR if code else EXIT_OK
     try:
-        config = _config_from_args(args)
-        return _HANDLERS[args.command](args, config)
+        args.constants = ModelConstants(
+            **{field.name: getattr(args, field.name) for field in fields(ModelConstants)}
+        )
+        if args.cap < 1:
+            raise TrustValueError(f"cap must be >= 1, got {args.cap}")
+        if not 0 <= args.decimals <= 12:
+            raise TrustValueError(f"decimals must be in [0, 12], got {args.decimals}")
+        return _HANDLERS[args.command](args)
     except PathCapExceeded as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CAP_EXCEEDED

@@ -1,7 +1,7 @@
 """Trust value primitives: pairs, the linguistic scale, and display truncation."""
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from decimal import ROUND_DOWN, Context, Decimal
 from enum import IntEnum
 
@@ -52,7 +52,7 @@ _CLASS_ANCHORS = (
 
 @dataclass(frozen=True)
 class TrustPair:
-    """A (trust, untrust) value pair with each component in [0, 1].
+    """A (trust, untrust) value pair with each component in [0, 1]; -0.0 is stored as 0.0.
 
     Direct construction checks only the component ranges, which permits
     deliberately non-complementary pairs; use :func:`make_pair` to also
@@ -71,7 +71,7 @@ class TrustPair:
                 raise TrustValueError(f"{name} component {value!r} is not a number") from None
             if not 0.0 <= value <= 1.0:
                 raise TrustValueError(f"{name} component {value!r} outside [0, 1]")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, value + 0.0)  # -0.0 + 0.0 is 0.0
 
     def complement(self) -> "TrustPair":
         """The pair with trust and untrust swapped."""
@@ -158,7 +158,7 @@ class ModelConstants:
 
     The theta values fill the trust-test matrix and the upsilon values
     the untrust-test matrix; the defaults are the model's reference
-    operating point. All entries must lie in [0, 1].
+    operating point. All entries must lie in [0, 1]; -0.0 is stored as 0.0.
     """
 
     theta_min: float = 0.51
@@ -169,14 +169,7 @@ class ModelConstants:
     upsilon_ind: float = 0.50
 
     def __post_init__(self):
-        for name in (
-            "theta_min",
-            "theta_max",
-            "theta_ind",
-            "upsilon_min",
-            "upsilon_max",
-            "upsilon_ind",
-        ):
+        for name in (field.name for field in fields(self)):
             value = getattr(self, name)
             try:
                 value = float(value)
@@ -184,7 +177,7 @@ class ModelConstants:
                 raise TrustValueError(f"{name} {value!r} is not a number") from None
             if not 0.0 <= value <= 1.0:
                 raise TrustValueError(f"{name} {value!r} outside [0, 1]")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, value + 0.0)  # -0.0 + 0.0 is 0.0
 
 
 #: The reference operating point used when no constants are passed.

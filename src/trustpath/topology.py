@@ -29,8 +29,9 @@ class PathError(ValueError):
 def _check_node_id(name: str) -> None:
     if not isinstance(name, str) or not name:
         raise TopologyError(f"node id must be a non-empty string, got {name!r}")
-    if any(ch.isspace() for ch in name) or "#" in name:
-        raise TopologyError(f"node id {name!r} may not contain whitespace or '#'")
+    # '#' starts a comment, ',' separates path spec ids and '→' joins printed paths.
+    if any(ch.isspace() or ch in "#,→" for ch in name):
+        raise TopologyError(f"node id {name!r} may not contain whitespace, '#', ',' or '→'")
 
 
 class Topology:
@@ -114,13 +115,6 @@ class Topology:
         """Outgoing neighbors of node, in declaration order."""
         try:
             return self._successors[node]
-        except KeyError:
-            raise TopologyError(f"unknown node {node!r}") from None
-
-    def node_index(self, node: str) -> int:
-        """Declaration index of node, 0-based."""
-        try:
-            return self._order[node]
         except KeyError:
             raise TopologyError(f"unknown node {node!r}") from None
 
@@ -253,12 +247,10 @@ def serialize_topology(topology: Topology) -> str:
     lines = [f"node {node}" for node in topology.nodes]
     lines.append(f"source {topology.source}")
     lines.append(f"dest {topology.destination}")
-    for src, dst in sorted(
-        topology.edge_pairs(),
-        key=lambda key: (topology.node_index(key[0]), topology.node_index(key[1])),
-    ):
-        pair = topology.edge(src, dst)
-        lines.append(f"edge {src} {dst} {pair.trust!r} {pair.untrust!r}")
+    for src in topology.nodes:
+        for dst in topology.successors(src):
+            pair = topology.edge(src, dst)
+            lines.append(f"edge {src} {dst} {pair.trust!r} {pair.untrust!r}")
     return "\n".join(lines) + "\n"
 
 

@@ -353,6 +353,35 @@ def test_constants_flags_are_range_checked(demo_file, capsys):
     assert "theta_min" in err
 
 
+def test_global_options_are_checked_constants_then_cap_then_decimals(demo_file, capsys):
+    bad = ["--theta-min", "1.5", "--cap", "0", "--decimals", "13"]
+    for expected in ("theta_min 1.5 outside [0, 1]", "cap must be >= 1, got 0", "decimals"):
+        code, out, err = run_cli(capsys, "route", "-t", demo_file, *bad)
+        assert (code, out, err.count("\n")) == (1, "", 1)
+        assert expected in err
+        bad = bad[2:]
+
+
+def test_negative_zero_edge_renders_as_zero(tmp_path, capsys):
+    text = "node S\nnode a\nnode D\nsource S\ndest D\nedge S a -0 0\nedge a D 1 0\n"
+    path = tmp_path / "negative-zero.trust"
+    path.write_text(text, encoding="utf-8")
+    _, out, _ = run_cli(capsys, "route", "-t", str(path), "--no-strict")
+    assert "edge_trust=0.00 " in out
+    assert "-0" not in out
+
+
+def test_negative_zero_constants_render_as_zero(demo_file, capsys):
+    flags = ["--theta-min", "-0", "--theta-max", "-0"]
+    _, out, _ = run_cli(capsys, "check", "S,3,7,11,D", "-t", demo_file, *flags)
+    assert "hop 1 S→3 trust=0.00 " in out
+    assert "-0" not in out
+    _, out, _ = run_cli(capsys, "check", "S,3,7,11,D", "-t", demo_file, *flags, "--format", "json")
+    constants = json.loads(out)["inputs"]["constants"]
+    assert (constants["theta_min"], constants["theta_max"]) == (0.0, 0.0)
+    assert "-0.0" not in out
+
+
 def test_decimals_flag_widths(demo_file, capsys):
     _, out2, _ = run_cli(capsys, "rank", "-t", demo_file, "--top", "1", "--decimals", "2")
     _, out3, _ = run_cli(capsys, "rank", "-t", demo_file, "--top", "1", "--decimals", "3")

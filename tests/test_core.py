@@ -1,5 +1,7 @@
 """Trust pair construction, the linguistic scale, and display truncation."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -172,3 +174,11 @@ def test_constants_defaults_and_validation():
         ModelConstants(theta_min=1.2)
     with pytest.raises(TrustValueError):
         ModelConstants(upsilon_ind=-0.1)
+
+
+def test_negative_zero_is_stored_as_zero():
+    pair = TrustPair(-0.0, 1.0)
+    assert math.copysign(1.0, pair.trust) == 1.0
+    constants = ModelConstants(theta_min=-0.0, upsilon_max=-0.0)
+    assert math.copysign(1.0, constants.theta_min) == 1.0
+    assert math.copysign(1.0, constants.upsilon_max) == 1.0

@@ -90,6 +90,8 @@ def test_parse_error_carries_line_number():
         ("node S\nnode D\nsource X\ndest D\n", 3),  # undeclared source
         ("node S\nnode D\ndest X\nsource S\n", 3),  # undeclared dest
         ("node S\nsource S\ndest S\n", 3),  # source equals dest
+        ("node S\nnode a,b\nnode D\nsource S\ndest D\n", 2),  # ',' splits path specs
+        ("node S\nnode a→b\nnode D\nsource S\ndest D\n", 2),  # '→' joins printed paths
     ],
 )
 def test_parse_rejects_bad_documents(text, line):
@@ -125,6 +127,11 @@ def test_serialize_canonical_form():
         "node S\nnode a\nnode D\nsource S\ndest D\n"
         "edge S a 1.0 0.0\nedge a D 0.5 0.5\n"
     )
+
+
+def test_serialize_writes_negative_zero_as_zero():
+    topology = Topology(["S", "D"], {("S", "D"): TrustPair(-0.0, 1.0)}, "S", "D")
+    assert serialize_topology(topology).endswith("edge S D 0.0 1.0\n")
 
 
 def test_minimal_round_trip():
@@ -207,6 +214,9 @@ def test_topology_rejects_structural_errors():
         Topology(["S", "D"], {}, "S", "x")  # unknown destination
     with pytest.raises(TopologyError):
         Topology(["S", "bad id", "D"], {}, "S", "D")  # whitespace in id
+    for node in ("a,b", "a→b"):  # ',' splits path specs, '→' joins printed paths
+        with pytest.raises(TopologyError, match="may not contain"):
+            Topology(["S", node, "D"], {}, "S", "D")
 
 
 def test_successors_follow_declaration_order(demo_topology):
