@@ -50,7 +50,7 @@ _CLASS_ANCHORS = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrustPair:
     """A (trust, untrust) value pair with each component in [0, 1]; -0.0 is stored as 0.0.
 

@@ -127,13 +127,15 @@ def most_likely_route(
 ) -> RouteResult:
     """Walk greedily from source toward destination.
 
-    At each node the walk runs the trust test toward every unvisited
-    successor and takes, among the edges with an ACCEPTABLE verdict, the
-    one with the highest edge trust; ties break by node declaration
-    order. The first hop starts from full trust, later hops arrive with
-    the pair of the edge just taken. There is no backtracking: a node
-    with no acceptable unvisited successor ends the walk with
-    reached=False, which is a result, not an error.
+    At each node the walk takes, among the unvisited successors whose
+    edge gets an ACCEPTABLE verdict, the one with the highest edge trust;
+    ties break by node declaration order. The trust test runs best-first,
+    over the candidates stably sorted by descending edge trust, and stops
+    at the first pass: the result equals testing every candidate. The
+    first hop starts from full trust, later hops arrive with the pair of
+    the edge just taken. There is no backtracking: a node with no
+    acceptable unvisited successor ends the walk with reached=False,
+    which is a result, not an error.
     """
     current = topology.source
     arrival = FULL_TRUST
@@ -141,19 +143,21 @@ def most_likely_route(
     path = [current]
     steps: list[RouteStep] = []
     while current != topology.destination:
-        best: tuple[str, TrustPair, HopResult] | None = None
-        for candidate in topology.successors(current):
-            if candidate in visited:
-                continue
-            edge = topology.edge(current, candidate)
+        candidates = sorted(
+            (
+                (candidate, topology.edge(current, candidate))
+                for candidate in topology.successors(current)
+                if candidate not in visited
+            ),
+            key=lambda item: item[1].trust,
+            reverse=True,  # stable: equal trust keeps declaration order
+        )
+        for candidate, edge in candidates:
             hop = propagate_trust_hop(arrival, edge, constants)
-            if hop.verdict is not Verdict.ACCEPTABLE:
-                continue
-            if best is None or edge.trust > best[1].trust:
-                best = (candidate, edge, hop)
-        if best is None:
+            if hop.verdict is Verdict.ACCEPTABLE:
+                break
+        else:
             return RouteResult(tuple(path), tuple(steps), False)
-        candidate, edge, hop = best
         steps.append(RouteStep(current, candidate, edge, hop))
         path.append(candidate)
         visited.add(candidate)

@@ -1,5 +1,6 @@
 """Trust pair construction, the linguistic scale, and display truncation."""
 
+import dataclasses
 import math
 
 import pytest
@@ -61,6 +62,20 @@ def test_make_pair_range_errors():
 def test_full_trust_extreme():
     assert (FULL_TRUST.trust, FULL_TRUST.untrust) == (1.0, 0.0)
     assert FULL_TRUST.is_complementary()
+
+
+def test_pair_is_slotted_frozen_hashable_and_equal_by_value():
+    pair = TrustPair(0.9, 0.1)
+    assert not hasattr(pair, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        pair.trust = 0.5
+    assert (pair.trust, pair.untrust) == (0.9, 0.1)
+    twin = TrustPair(0.9, 0.1)
+    assert twin == pair and twin is not pair
+    assert hash(twin) == hash(pair)
+    assert {pair: "edge"}[twin] == "edge"
+    assert len({pair, twin, TrustPair(0.1, 0.9)}) == 2
+    assert pair != TrustPair(0.1, 0.9)
 
 
 def test_complement_examples():

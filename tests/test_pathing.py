@@ -5,8 +5,10 @@ from math import prod
 
 import pytest
 
-from helpers import brute_force_paths, random_dag
+from helpers import brute_force_paths, random_dag, random_topology
 from trustpath import (
+    DEFAULT_CONSTANTS,
+    ModelConstants,
     PathCapExceeded,
     PathError,
     Topology,
@@ -19,6 +21,7 @@ from trustpath import (
     most_likely_route,
     path_mean_trust,
     path_mean_untrust,
+    pathing,
     propagate_trust_hop,
     rank_paths,
 )
@@ -248,15 +251,18 @@ def test_route_tie_breaks_by_declaration_order():
     assert route.path == ("S", "1", "3", "D")
 
 
-def test_route_dead_end_at_source():
+def _dead_end_at_source() -> Topology:
     pairs = {
         ("S", "a"): make_pair(0.05, 0.95),
         ("S", "b"): make_pair(0.1, 0.9),
         ("a", "D"): make_pair(1, 0),
         ("b", "D"): make_pair(1, 0),
     }
-    topology = Topology(["S", "a", "b", "D"], pairs, "S", "D")
-    route = most_likely_route(topology)
+    return Topology(["S", "a", "b", "D"], pairs, "S", "D")
+
+
+def test_route_dead_end_at_source():
+    route = most_likely_route(_dead_end_at_source())
     assert not route.reached
     assert route.path == ("S",)
     assert route.stuck_node == "S"
@@ -280,35 +286,137 @@ def test_route_mid_walk_dead_end_keeps_partial_trace():
     assert len(route.steps) == 1
 
 
+def _argmax_oracle_walk(topology, constants=DEFAULT_CONSTANTS):
+    """Re-walk with an independent scan over declared nodes that tests every candidate.
+
+    Returns the walked nodes and the number of steps whose most trusted
+    unvisited candidate failed the test, so the winner came from further down.
+    """
+    node = topology.source
+    arrival = TrustPair(1.0, 0.0)
+    seen = {node}
+    walked = [node]
+    skips = 0
+    while node != topology.destination:
+        best = None
+        top_trust = None
+        for candidate in topology.nodes:
+            if candidate in seen or not topology.has_edge(node, candidate):
+                continue
+            edge = topology.edge(node, candidate)
+            top_trust = edge.trust if top_trust is None else max(top_trust, edge.trust)
+            hop = propagate_trust_hop(arrival, edge, constants)
+            if hop.verdict is not Verdict.ACCEPTABLE:
+                continue
+            if best is None or edge.trust > best[1].trust:
+                best = (candidate, edge)
+        if best is None:
+            break
+        node, edge = best
+        skips += edge.trust < top_trust
+        seen.add(node)
+        walked.append(node)
+        arrival = edge
+    return tuple(walked), skips
+
+
 def test_route_matches_step_by_step_argmax_oracle():
-    # oracle: re-walk with an independent scan over declared nodes
     rng = random.Random(23)
     for _ in range(30):
         topology = random_dag(rng)
         route = most_likely_route(topology)
-        node = topology.source
-        arrival = TrustPair(1.0, 0.0)
-        seen = {node}
-        walked = [node]
-        while node != topology.destination:
-            best = None
-            for candidate in topology.nodes:
-                if candidate in seen or not topology.has_edge(node, candidate):
-                    continue
-                edge = topology.edge(node, candidate)
-                hop = propagate_trust_hop(arrival, edge)
-                if hop.verdict is not Verdict.ACCEPTABLE:
-                    continue
-                if best is None or edge.trust > best[1].trust:
-                    best = (candidate, edge)
-            if best is None:
-                break
-            node, edge = best
-            seen.add(node)
-            walked.append(node)
-            arrival = edge
-        assert tuple(walked) == route.path
+        walked, _skips = _argmax_oracle_walk(topology)
+        assert walked == route.path
         assert route.reached == (walked[-1] == topology.destination)
+
+
+def test_route_matches_argmax_oracle_on_cyclic_topologies_with_random_constants():
+    # cycles, non-complementary pairs and arbitrary constants make the most
+    # trusted candidate fail often, so the walk must fall through to later ones
+    rng = random.Random(41)
+    total_skips = 0
+    for _ in range(300):
+        topology = random_topology(rng)
+        constants = ModelConstants(*(rng.randint(0, 100) / 100 for _ in range(6)))
+        route = most_likely_route(topology, constants)
+        walked, skips = _argmax_oracle_walk(topology, constants)
+        total_skips += skips
+        assert walked == route.path
+        assert route.reached == (walked[-1] == topology.destination)
+        arrival = TrustPair(1.0, 0.0)
+        for step in route.steps:
+            assert step.edge == topology.edge(step.src, step.dst)
+            assert step.hop == propagate_trust_hop(arrival, step.edge, constants)
+            arrival = step.edge
+    assert total_skips > 0
+
+
+def test_route_falls_through_a_rejected_top_candidate():
+    # from full trust the hop to hi outputs (0.51, 0.95): hi is the most
+    # trusted successor but fails, so the walk takes the next one, mid
+    pairs = {
+        ("S", "lo"): make_pair(0.6),
+        ("S", "hi"): TrustPair(0.9, 0.95),
+        ("S", "mid"): make_pair(0.8),
+        ("lo", "D"): make_pair(1.0),
+        ("hi", "D"): make_pair(1.0),
+        ("mid", "D"): make_pair(1.0),
+    }
+    topology = Topology(["S", "lo", "hi", "mid", "D"], pairs, "S", "D")
+    assert propagate_trust_hop(TrustPair(1.0, 0.0), pairs[("S", "hi")]).verdict is (
+        Verdict.NOT_ACCEPTABLE
+    )
+    route = most_likely_route(topology)
+    assert route.path == ("S", "mid", "D")
+    assert route.steps[0].edge == make_pair(0.8)
+
+
+def test_route_tie_after_rejected_candidate_goes_to_first_declared():
+    # p and q tie on trust and sort after the rejected hi; p is declared
+    # first, so it wins although q has the lower untrust
+    pairs = {
+        ("S", "lo"): make_pair(0.6),
+        ("S", "q"): TrustPair(0.7, 0.1),
+        ("S", "hi"): TrustPair(0.9, 0.95),
+        ("S", "p"): TrustPair(0.7, 0.3),
+        ("lo", "D"): make_pair(1.0),
+        ("q", "D"): make_pair(1.0),
+        ("hi", "D"): make_pair(1.0),
+        ("p", "D"): make_pair(1.0),
+    }
+    topology = Topology(["S", "lo", "p", "hi", "q", "D"], pairs, "S", "D")
+    route = most_likely_route(topology)
+    assert route.path == ("S", "p", "D")
+    assert route.path == _argmax_oracle_walk(topology)[0]
+
+
+def _count_hop_tests(monkeypatch):
+    tested = []
+
+    def counting(arrival, next_edge, constants=DEFAULT_CONSTANTS):
+        tested.append(next_edge)
+        return propagate_trust_hop(arrival, next_edge, constants)
+
+    monkeypatch.setattr(pathing, "propagate_trust_hop", counting)
+    return tested
+
+
+def test_route_on_demo_mesh_runs_one_hop_test_per_step(demo_topology, monkeypatch):
+    tested = _count_hop_tests(monkeypatch)
+    route = most_likely_route(demo_topology)
+    assert route.path == ("S", "3", "7", "11", "D")
+    assert len(tested) == 4
+    assert tested == [step.edge for step in route.steps]
+
+
+def test_route_dead_end_tests_each_candidate_once(monkeypatch):
+    tested = _count_hop_tests(monkeypatch)
+    route = most_likely_route(_dead_end_at_source())
+    assert not route.reached
+    assert sorted(tested, key=lambda pair: pair.trust) == [
+        make_pair(0.05, 0.95),
+        make_pair(0.1, 0.9),
+    ]
 
 
 def test_route_first_hop_is_argmax_of_acceptable_source_edges():
