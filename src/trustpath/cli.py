@@ -428,11 +428,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse --help or a usage error
-        code = exc.code
-        if isinstance(code, int):
-            return code
-        return EXIT_INPUT_ERROR if code else EXIT_OK
+    except SystemExit as exc:  # argparse --help (0) or _Parser.error (EXIT_INPUT_ERROR)
+        return exc.code
     try:
         args.constants = ModelConstants(
             **{field.name: getattr(args, field.name) for field in fields(ModelConstants)}
@@ -448,7 +445,3 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-
-
-if __name__ == "__main__":
-    sys.exit(main())

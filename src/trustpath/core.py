@@ -13,6 +13,17 @@ class TrustValueError(ValueError):
     """A trust value, pair, or constant violates its domain constraints."""
 
 
+def _unit(value, label: str) -> float:
+    """value as a float in [0, 1], -0.0 as 0.0; errors name it as `label value`."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        raise TrustValueError(f"{label} {value!r} is not a number") from None
+    if not 0.0 <= number <= 1.0:
+        raise TrustValueError(f"{label} {number!r} outside [0, 1]")
+    return number + 0.0  # -0.0 + 0.0 is 0.0
+
+
 class TrustClass(IntEnum):
     """Linguistic trust labels, ordered from least to most trusted."""
 
@@ -63,23 +74,17 @@ class TrustPair:
     untrust: float
 
     def __post_init__(self):
-        for name in ("trust", "untrust"):
-            value = getattr(self, name)
-            try:
-                value = float(value)
-            except (TypeError, ValueError):
-                raise TrustValueError(f"{name} component {value!r} is not a number") from None
-            if not 0.0 <= value <= 1.0:
-                raise TrustValueError(f"{name} component {value!r} outside [0, 1]")
-            object.__setattr__(self, name, value + 0.0)  # -0.0 + 0.0 is 0.0
+        # Literal labels: parsing builds a pair per edge, so no per-field loop or f-string.
+        object.__setattr__(self, "trust", _unit(self.trust, "trust component"))
+        object.__setattr__(self, "untrust", _unit(self.untrust, "untrust component"))
 
     def complement(self) -> "TrustPair":
         """The pair with trust and untrust swapped."""
         return TrustPair(self.untrust, self.trust)
 
-    def is_complementary(self, tol: float = COMPLEMENT_TOL) -> bool:
-        """Whether trust + untrust equals one within tol."""
-        return abs(self.trust + self.untrust - 1.0) <= tol
+    def is_complementary(self) -> bool:
+        """Whether trust + untrust equals one within COMPLEMENT_TOL."""
+        return abs(self.trust + self.untrust - 1.0) <= COMPLEMENT_TOL
 
 
 #: Full trust, the state every evaluation starts from at the source node.
@@ -91,22 +96,20 @@ def make_pair(
     untrust: float | None = None,
     *,
     strict: bool = True,
-    tol: float = COMPLEMENT_TOL,
 ) -> TrustPair:
     """Build a validated pair; an omitted untrust defaults to 1 - trust.
 
     With strict=True (the default) an explicitly given untrust must
-    complement trust to within tol; strict=False skips that check but
-    still range-checks both components.
+    complement trust to within COMPLEMENT_TOL; strict=False skips that
+    check but still range-checks both components.
     """
     if untrust is None:
-        pair = TrustPair(trust, 1.0 - float(trust))
-        return pair
+        return TrustPair(trust, 1.0 - float(trust))
     pair = TrustPair(trust, untrust)
-    if strict and not pair.is_complementary(tol):
+    if strict and not pair.is_complementary():
         raise TrustValueError(
             f"trust {pair.trust!r} and untrust {pair.untrust!r} do not sum to 1 "
-            f"(tolerance {tol:g}); pass strict=False to allow this"
+            f"(tolerance {COMPLEMENT_TOL:g}); pass strict=False to allow this"
         )
     return pair
 
@@ -118,9 +121,7 @@ def classify(trust: float) -> TrustClass:
     one with the greatest anchor at or below the value, so e.g. 0.85
     is VERY_HIGH and 0.8499 is HIGH.
     """
-    value = float(trust)
-    if not 0.0 <= value <= 1.0:
-        raise TrustValueError(f"trust value {trust!r} outside [0, 1]")
+    value = _unit(trust, "trust value")
     for anchor, label in _CLASS_ANCHORS:
         if value >= anchor:
             return label
@@ -169,15 +170,8 @@ class ModelConstants:
     upsilon_ind: float = 0.50
 
     def __post_init__(self):
-        for name in (field.name for field in fields(self)):
-            value = getattr(self, name)
-            try:
-                value = float(value)
-            except (TypeError, ValueError):
-                raise TrustValueError(f"{name} {value!r} is not a number") from None
-            if not 0.0 <= value <= 1.0:
-                raise TrustValueError(f"{name} {value!r} outside [0, 1]")
-            object.__setattr__(self, name, value + 0.0)  # -0.0 + 0.0 is 0.0
+        for field in fields(self):
+            object.__setattr__(self, field.name, _unit(getattr(self, field.name), field.name))
 
 
 #: The reference operating point used when no constants are passed.

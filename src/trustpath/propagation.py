@@ -73,12 +73,14 @@ class PathEvaluation:
         return all(hop.verdict is Verdict.ACCEPTABLE for hop in self.hops)
 
 
-def _verdict(trust: float, untrust: float, tol: float = VERDICT_TOL) -> Verdict:
+def _verdict(trust: float, untrust: float) -> Verdict:
     # Hop outputs are never negative, so the larger component is the larger
     # magnitude; comparing without abs() and max() keeps the hot path cheap.
     if trust > untrust:
-        return Verdict.ACCEPTABLE if trust - untrust > tol * trust else Verdict.INDIFFERENT
-    return Verdict.NOT_ACCEPTABLE if untrust - trust > tol * untrust else Verdict.INDIFFERENT
+        return Verdict.ACCEPTABLE if trust - untrust > VERDICT_TOL * trust else Verdict.INDIFFERENT
+    return (
+        Verdict.NOT_ACCEPTABLE if untrust - trust > VERDICT_TOL * untrust else Verdict.INDIFFERENT
+    )
 
 
 def trust_matrix(next_edge: TrustPair, constants: ModelConstants = DEFAULT_CONSTANTS) -> Matrix:

@@ -1,7 +1,7 @@
 """Deterministic packet-forwarding simulation over a topology."""
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import DEFAULT_CONSTANTS, ModelConstants
 from .pathing import Path, most_likely_route
@@ -12,11 +12,11 @@ from .topology import Topology
 class SimReport:
     """Delivery statistics for a batch of identically forwarded packets."""
 
-    packets_sent: int = 0
-    delivered: int = 0
-    dropped: int = 0
-    route_usage: dict[Path, int] = field(default_factory=dict)
-    drop_points: dict[str, int] = field(default_factory=dict)
+    packets_sent: int
+    delivered: int
+    dropped: int
+    route_usage: dict[Path, int]
+    drop_points: dict[str, int]
 
 
 def simulate(
@@ -31,18 +31,11 @@ def simulate(
     """
     if packets < 1:
         raise ValueError(f"packets must be >= 1, got {packets!r}")
-    report = SimReport()
-    route_usage: Counter[Path] = Counter()
-    drop_points: Counter[str] = Counter()
+    outcomes: Counter[tuple[bool, Path | str]] = Counter()
     for _ in range(packets):
         route = most_likely_route(topology, constants)
-        report.packets_sent += 1
-        if route.reached:
-            report.delivered += 1
-            route_usage[route.path] += 1
-        else:
-            report.dropped += 1
-            drop_points[route.path[-1]] += 1
-    report.route_usage = dict(route_usage)
-    report.drop_points = dict(drop_points)
-    return report
+        outcomes[route.reached, route.path if route.reached else route.stuck_node] += 1
+    route_usage = {path: count for (reached, path), count in outcomes.items() if reached}
+    drop_points = {node: count for (reached, node), count in outcomes.items() if not reached}
+    delivered = sum(route_usage.values())
+    return SimReport(packets, delivered, packets - delivered, route_usage, drop_points)

@@ -2,7 +2,7 @@
 
 from collections.abc import Iterable, Mapping
 
-from .core import COMPLEMENT_TOL, TrustPair, TrustValueError, make_pair
+from .core import TrustPair, TrustValueError, make_pair
 
 
 class TopologyError(ValueError):
@@ -152,8 +152,6 @@ class Topology:
             and self._pairs == other._pairs
         )
 
-    __hash__ = None  # mutable-by-convention container semantics
-
     def __repr__(self) -> str:
         return (
             f"Topology({len(self.nodes)} nodes, {len(self._pairs)} edges, "
@@ -161,24 +159,26 @@ class Topology:
         )
 
 
-def parse_topology(text: str, *, strict: bool = True, tol: float = COMPLEMENT_TOL) -> Topology:
+def parse_topology(text: str, *, strict: bool = True) -> Topology:
     """Parse topology text into a validated Topology.
 
     Each non-blank line holds one declaration: ``node <id>``,
     ``source <id>``, ``dest <id>`` or ``edge <from> <to> <trust>
     [<untrust>]``. ``#`` starts a comment that runs to end of line;
-    declarations may appear in any order; both LF and CRLF line endings
-    are accepted, and so is a leading UTF-8 byte order mark.
+    declarations may appear in any order. Lines end at LF, CRLF or CR
+    only, so other Unicode line separators stay inside their line (and
+    inside a comment); a leading UTF-8 byte order mark is dropped.
 
     An omitted edge untrust defaults to 1 - trust. With strict=True every
-    explicitly given pair must sum to one within tol; strict=False keeps
-    only the [0, 1] range checks. Errors raise TopologyParseError carrying
-    the offending line number where known.
+    explicitly given pair must sum to one within COMPLEMENT_TOL;
+    strict=False keeps only the [0, 1] range checks. Errors raise
+    TopologyParseError carrying the offending line number where known.
     """
     nodes: list[tuple[int, str]] = []
     roles: dict[str, tuple[int, str]] = {}
     edges: list[tuple[int, tuple[str, str, TrustPair]]] = []
-    for lineno, raw in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
+    text = text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -204,7 +204,7 @@ def parse_topology(text: str, *, strict: bool = True, tol: float = COMPLEMENT_TO
                 except ValueError:
                     raise TopologyParseError(f"not a number: {token!r}", lineno) from None
             try:
-                pair = make_pair(*values, strict=strict, tol=tol)
+                pair = make_pair(*values, strict=strict)
             except TrustValueError as err:
                 raise TopologyParseError(str(err), lineno) from None
             edges.append((lineno, (args[0], args[1], pair)))

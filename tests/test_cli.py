@@ -76,6 +76,11 @@ def test_check_unknown_edge_is_input_error(demo_file, capsys):
     assert "no edge" in err
 
 
+def test_check_empty_node_id_is_input_error(demo_file, capsys):
+    code, out, err = run_cli(capsys, "check", "S,,D", "-t", demo_file)
+    assert (code, out, err) == (1, "", "error: empty node id in path spec 'S,,D'\n")
+
+
 def test_check_output_chaining_flag(demo_file, capsys):
     code, out, _ = run_cli(
         capsys, "check", "S,3,7,11,D", "-t", demo_file, "--chaining", "output", "--decimals", "4"
@@ -248,6 +253,17 @@ def test_unreadable_file_exits_one(capsys):
     code, _, err = run_cli(capsys, "route", "-t", "/nonexistent/nope.trust")
     assert code == 1
     assert err.startswith("error:")
+
+
+def test_comment_with_a_form_feed_routes(tmp_path, capsys):
+    path = tmp_path / "feed.trust"
+    path.write_text(
+        "node S\nnode D\nsource S\ndest D # see\x0cedge S D 0.1\nedge S D 0.9\n",
+        encoding="utf-8",
+    )
+    code, out, err = run_cli(capsys, "route", "-t", str(path))
+    assert (code, err) == (0, "")
+    assert out.startswith("route S→D\n")
 
 
 def test_parse_error_reports_line_and_exits_one(tmp_path, capsys):

@@ -59,6 +59,13 @@ def test_make_pair_range_errors():
         TrustPair(float("nan"), 0.5)
 
 
+def test_non_numbers_are_named():
+    with pytest.raises(TrustValueError, match=r"^trust component 'x' is not a number$"):
+        TrustPair("x", 0.5)
+    with pytest.raises(TrustValueError, match=r"^theta_min 'x' is not a number$"):
+        ModelConstants(theta_min="x")
+
+
 def test_full_trust_extreme():
     assert (FULL_TRUST.trust, FULL_TRUST.untrust) == (1.0, 0.0)
     assert FULL_TRUST.is_complementary()
@@ -112,6 +119,13 @@ def test_classify_rejects_out_of_range():
     for bad in (-0.01, 1.01):
         with pytest.raises(TrustValueError):
             classify(bad)
+
+
+def test_classify_names_its_value():
+    with pytest.raises(TrustValueError, match=r"^trust value 'x' is not a number$"):
+        classify("x")
+    with pytest.raises(TrustValueError, match=r"^trust value 2\.0 outside \[0, 1\]$"):
+        classify(2)
 
 
 @given(a=unit, b=unit)

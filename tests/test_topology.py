@@ -44,6 +44,25 @@ def test_parse_accepts_comments_blanks_and_crlf():
     assert topology.edge("S", "D") == TrustPair(0.7, 0.3)
 
 
+def test_parse_accepts_cr_only_line_ends():
+    topology = parse_topology("node S\rnode D\rsource S\rdest D\redge S D 0.7 0.3\r")
+    assert topology.edge("S", "D") == TrustPair(0.7, 0.3)
+    with pytest.raises(TopologyParseError) as excinfo:
+        parse_topology("node S\rnode D\rsource S\rdest D\redge S X 0.7\r")
+    assert excinfo.value.line == 5
+
+
+def test_parse_splits_lines_only_at_cr_and_lf():
+    # str.splitlines() would also break at these, ending a comment early.
+    text = "node S\nnode D\nsource S\ndest D # see\x0cedge S D 0.1\nedge S D 0.9\n"
+    assert parse_topology(text).edge("S", "D") == make_pair(0.9)
+    for separator in "\v\x1c\x1d\x1e\x85\u2028\u2029":
+        text = f"node S\nnode D # a{separator}b\nsource S\ndest D\nedge S X 0.9\n"
+        with pytest.raises(TopologyParseError) as excinfo:
+            parse_topology(text)
+        assert str(excinfo.value) == "line 5: edge endpoint 'X' is not a declared node"
+
+
 def test_parse_accepts_any_declaration_order():
     text = "edge S D 0.6 0.4\ndest D\nsource S\nnode D\nnode S\n"
     topology = parse_topology(text)
@@ -217,6 +236,13 @@ def test_topology_rejects_structural_errors():
     for node in ("a,b", "a→b"):  # ',' splits path specs, '→' joins printed paths
         with pytest.raises(TopologyError, match="may not contain"):
             Topology(["S", node, "D"], {}, "S", "D")
+    for node in (7, ""):
+        message = f"^node id must be a non-empty string, got {node!r}$"
+        with pytest.raises(TopologyError, match=message):
+            Topology(["S", node, "D"], {}, "S", "D")
+    message = r"^edge S -> D value \(0\.5, 0\.5\) is not a TrustPair$"
+    with pytest.raises(TopologyError, match=message):
+        Topology(["S", "D"], {("S", "D"): (0.5, 0.5)}, "S", "D")
 
 
 def test_successors_follow_declaration_order(demo_topology):
