@@ -279,8 +279,7 @@ def _cmd_rank(args: argparse.Namespace) -> int:
     if args.top is not None and args.top < 1:
         raise TrustValueError(f"--top must be >= 1, got {args.top}")
     topology = _load_topology(args)
-    ranked = rank_paths(topology, args.cap)
-    shown = ranked if args.top is None else ranked[: args.top]
+    count, ranked = rank_paths(topology, args.cap, args.top)
     records = [
         {
             "rank": entry.rank,
@@ -289,7 +288,7 @@ def _cmd_rank(args: argparse.Namespace) -> int:
             "mean_untrust": entry.mean_untrust,
             "class": entry.trust_class.code,
         }
-        for entry in shown
+        for entry in ranked
     ]
     header = ("rank", "path", "mean_trust", "mean_untrust", "class")
 
@@ -308,7 +307,7 @@ def _cmd_rank(args: argparse.Namespace) -> int:
         ]
         _print_table(header, rows)
     else:
-        results = {"count": len(ranked), "paths": records}
+        results = {"count": count, "paths": records}
         _emit(args, results, header, map(dict.values, records), top=args.top)
     return EXIT_OK
 

@@ -104,7 +104,8 @@ def make_pair(
     check but still range-checks both components.
     """
     if untrust is None:
-        return TrustPair(trust, 1.0 - float(trust))
+        trust = _unit(trust, "trust component")
+        return TrustPair(trust, 1.0 - trust)
     pair = TrustPair(trust, untrust)
     if strict and not pair.is_complementary():
         raise TrustValueError(

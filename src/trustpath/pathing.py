@@ -1,5 +1,6 @@
 """Simple-path enumeration, mean-trust ranking, and greedy route selection."""
 
+import heapq
 from dataclasses import dataclass
 
 from .core import DEFAULT_CONSTANTS, FULL_TRUST, ModelConstants, TrustClass, TrustPair, classify
@@ -55,17 +56,21 @@ def enumerate_paths(topology: Topology, cap: int = DEFAULT_PATH_CAP) -> list[Pat
 
 
 def path_mean_trust(topology: Topology, path: Path | list[str]) -> float:
-    """Arithmetic mean of the edge trust values along a valid path."""
+    """Arithmetic mean of the edge trust values along a valid path, summed left to right."""
     nodes = topology.validate_path(path)
-    values = [topology.edge(src, dst).trust for src, dst in zip(nodes, nodes[1:])]
-    return sum(values) / len(values)
+    total = 0.0
+    for src, dst in zip(nodes, nodes[1:]):
+        total += topology.edge(src, dst).trust
+    return total / (len(nodes) - 1)
 
 
 def path_mean_untrust(topology: Topology, path: Path | list[str]) -> float:
-    """Arithmetic mean of the edge untrust values along a valid path."""
+    """Arithmetic mean of the edge untrust values along a valid path, summed left to right."""
     nodes = topology.validate_path(path)
-    values = [topology.edge(src, dst).untrust for src, dst in zip(nodes, nodes[1:])]
-    return sum(values) / len(values)
+    total = 0.0
+    for src, dst in zip(nodes, nodes[1:]):
+        total += topology.edge(src, dst).untrust
+    return total / (len(nodes) - 1)
 
 
 @dataclass(frozen=True)
@@ -79,22 +84,26 @@ class RankedPath:
     rank: int
 
 
-def rank_paths(topology: Topology, cap: int = DEFAULT_PATH_CAP) -> list[RankedPath]:
-    """Every simple path ranked by mean trust, best first.
+def rank_paths(
+    topology: Topology, cap: int = DEFAULT_PATH_CAP, top: int | None = None
+) -> tuple[int, list[RankedPath]]:
+    """The number of simple paths, and the paths ranked by mean trust, best first.
 
-    Ties break by mean untrust ascending, then by enumeration order.
-    Means are kept at full precision; any truncation is display-only.
+    Ties break by mean untrust ascending, then by enumeration order. With
+    top=k only the k best paths are kept, in a bounded heap, and returned;
+    the count still covers every path, and the cap still applies to all of
+    them. Means are kept at full precision; any truncation is display-only.
     """
     paths = enumerate_paths(topology, cap)
-    keyed = []
-    for index, path in enumerate(paths):
-        mean_trust = path_mean_trust(topology, path)
-        mean_untrust = path_mean_untrust(topology, path)
-        keyed.append((-mean_trust, mean_untrust, index, path))
-    keyed.sort()
-    return [
+    keys = (
+        (-path_mean_trust(topology, path), path_mean_untrust(topology, path), index, path)
+        for index, path in enumerate(paths)
+    )
+    # The enumeration index makes every key unique, so nsmallest(top) is sorted()[:top].
+    best = sorted(keys) if top is None else heapq.nsmallest(top, keys)
+    return len(paths), [
         RankedPath(path, -negated, mean_untrust, classify(-negated), rank)
-        for rank, (negated, mean_untrust, _index, path) in enumerate(keyed, start=1)
+        for rank, (negated, mean_untrust, _index, path) in enumerate(best, start=1)
     ]
 
 

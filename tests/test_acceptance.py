@@ -118,7 +118,7 @@ def test_criterion_4_enumeration_count_and_order(demo_topology, announce):
 
 def test_criterion_5_best_rank_differs_from_greedy_route(demo_topology, announce):
     with announce(5, "rank-1 path differs from the greedy route"):
-        ranked = rank_paths(demo_topology)
+        _count, ranked = rank_paths(demo_topology)
         assert ranked[0].path == ("S", "1", "7", "11", "D")
         route = most_likely_route(demo_topology)
         assert route.reached

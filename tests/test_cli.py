@@ -105,7 +105,7 @@ def test_rank_csv_full_precision(demo_file, capsys):
     assert code == 0
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[0] == ["rank", "path", "mean_trust", "mean_untrust", "class"]
-    ranked = rank_paths(fixture_topology())
+    _count, ranked = rank_paths(fixture_topology())
     assert len(rows) - 1 == len(ranked) == 48
     for row, entry in zip(rows[1:], ranked):
         assert int(row[0]) == entry.rank
@@ -128,6 +128,14 @@ def test_rank_json_shape(demo_file, capsys):
     assert best["path"] == ["S", "1", "7", "11", "D"]
     assert best["mean_trust"] == 0.825
     assert best["class"] == "H"
+
+
+def test_rank_top_beyond_count_lists_every_path(demo_file, capsys):
+    code, out, _ = run_cli(capsys, "rank", "-t", demo_file, "--top", "1000", "--format", "json")
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert results["count"] == 48
+    assert [row["rank"] for row in results["paths"]] == list(range(1, 49))
 
 
 def test_rank_rejects_bad_top(demo_file, capsys):

@@ -64,6 +64,11 @@ def test_non_numbers_are_named():
         TrustPair("x", 0.5)
     with pytest.raises(TrustValueError, match=r"^theta_min 'x' is not a number$"):
         ModelConstants(theta_min="x")
+    # make_pair derives an omitted untrust only after trust passes the same rule
+    with pytest.raises(TrustValueError, match=r"^trust component 'x' is not a number$"):
+        make_pair("x")
+    with pytest.raises(TrustValueError, match=r"^trust component None is not a number$"):
+        make_pair(None)
 
 
 def test_full_trust_extreme():

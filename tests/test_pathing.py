@@ -1,11 +1,11 @@
 """Path enumeration order, mean-trust ranking, and the greedy route walk."""
 
 import random
-from math import prod
+from math import fsum, prod
 
 import pytest
 
-from helpers import brute_force_paths, random_dag, random_topology
+from helpers import brute_force_paths, chain_topology, random_dag, random_topology
 from trustpath import (
     DEFAULT_CONSTANTS,
     ModelConstants,
@@ -121,13 +121,25 @@ def test_mean_trust_extremes():
         assert path_mean_untrust(topology, path) == 0.0
 
 
+def test_path_means_add_left_to_right():
+    topology = chain_topology(10, 0.1)
+    path = enumerate_paths(topology)[0]
+    for mean, value in ((path_mean_trust, 0.1), (path_mean_untrust, 0.9)):
+        total = 0.0
+        for _ in range(10):
+            total += value
+        assert mean(topology, path) == total / 10
+    # a compensated sum, as Python 3.12's sum() does, gives another last bit
+    assert path_mean_trust(topology, path) != fsum([0.1] * 10) / 10
+
+
 def test_mean_trust_rejects_invalid_path(demo_topology):
     with pytest.raises(PathError):
         path_mean_trust(demo_topology, ("S", "D"))
 
 
 def test_rank_demo_mesh_top_two(demo_topology):
-    ranked = rank_paths(demo_topology)
+    _count, ranked = rank_paths(demo_topology)
     assert len(ranked) == 48
     assert ranked[0].rank == 1
     assert ranked[0].path == ("S", "1", "7", "11", "D")
@@ -139,7 +151,7 @@ def test_rank_demo_mesh_top_two(demo_topology):
 
 
 def test_rank_is_permutation_of_enumeration(demo_topology):
-    ranked = rank_paths(demo_topology)
+    _count, ranked = rank_paths(demo_topology)
     assert sorted(entry.path for entry in ranked) == sorted(enumerate_paths(demo_topology))
     assert [entry.rank for entry in ranked] == list(range(1, 49))
 
@@ -148,7 +160,7 @@ def test_rank_one_maximizes_mean_trust():
     rng = random.Random(31)
     for _ in range(20):
         topology = random_dag(rng)
-        ranked = rank_paths(topology)
+        _count, ranked = rank_paths(topology)
         if not ranked:
             continue
         best = max(path_mean_trust(topology, path) for path in enumerate_paths(topology))
@@ -170,7 +182,7 @@ def test_rank_order_matches_independent_sort():
             return (-mean([e.trust for e in edges]), mean([e.untrust for e in edges]), index)
 
         expected = [paths[index] for index in sorted(range(len(paths)), key=key)]
-        assert [entry.path for entry in rank_paths(topology)] == expected
+        assert [entry.path for entry in rank_paths(topology)[1]] == expected
 
 
 def test_rank_ties_break_by_untrust_then_enumeration_order():
@@ -184,7 +196,7 @@ def test_rank_ties_break_by_untrust_then_enumeration_order():
         ("c", "D"): TrustPair(0.7, 0.25),
     }
     topology = Topology(["S", "a", "b", "c", "D"], pairs, "S", "D")
-    ranked = rank_paths(topology)
+    _count, ranked = rank_paths(topology)
     assert [entry.path[1] for entry in ranked] == ["b", "c", "a"]
     assert [entry.rank for entry in ranked] == [1, 2, 3]
 
@@ -215,14 +227,43 @@ def test_rank_order_invariant_under_uniform_trust_shift():
     rng = random.Random(53)
     for _ in range(10):
         base, shifted = _grid_mesh_pair(rng)
-        assert [entry.path for entry in rank_paths(base)] == [
-            entry.path for entry in rank_paths(shifted)
+        assert [entry.path for entry in rank_paths(base)[1]] == [
+            entry.path for entry in rank_paths(shifted)[1]
         ]
+
+
+def _tied_dag(rng):
+    """A random DAG whose edge pairs come from a few values, so that mean ties are common."""
+    nodes = [f"n{i}" for i in range(rng.randint(2, 9))]
+    pairs = {
+        (src, dst): TrustPair(rng.choice((0.25, 0.75)), rng.choice((0.25, 0.5)))
+        for i, src in enumerate(nodes)
+        for dst in nodes[i + 1 :]
+        if rng.random() < 0.6
+    }
+    return Topology(nodes, pairs, nodes[0], nodes[-1])
+
+
+def test_rank_top_k_is_prefix_of_full_ranking():
+    rng = random.Random(61)
+    trust_ties = full_ties = 0
+    for _ in range(100):
+        topology = _tied_dag(rng)
+        count, ranked = rank_paths(topology)
+        assert count == len(ranked) == len(enumerate_paths(topology))
+        trust_ties += len(ranked) - len({entry.mean_trust for entry in ranked})
+        full_ties += len(ranked) - len({(e.mean_trust, e.mean_untrust) for e in ranked})
+        for k in range(1, count + 3):
+            assert rank_paths(topology, top=k) == (count, ranked[:k])
+    # both tie-breaks are exercised: mean untrust, and the enumeration order
+    assert trust_ties > full_ties > 100
 
 
 def test_rank_respects_cap():
     with pytest.raises(PathCapExceeded):
         rank_paths(generate_mesh((2, 2)), cap=3)
+    with pytest.raises(PathCapExceeded):
+        rank_paths(generate_mesh((2, 2)), cap=3, top=1)
 
 
 def test_route_on_demo_mesh(demo_topology):
