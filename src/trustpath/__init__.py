@@ -60,49 +60,3 @@ from .topology import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "COMPLEMENT_TOL",
-    "DEFAULT_CONSTANTS",
-    "DEFAULT_PATH_CAP",
-    "FULL_TRUST",
-    "REFERENCE_EDGES",
-    "VERDICT_TOL",
-    "Chaining",
-    "HopResult",
-    "ModelConstants",
-    "Path",
-    "PathCapExceeded",
-    "PathError",
-    "PathEvaluation",
-    "RankedPath",
-    "RouteResult",
-    "RouteStep",
-    "SimReport",
-    "TestMode",
-    "Topology",
-    "TopologyError",
-    "TopologyParseError",
-    "TrustClass",
-    "TrustPair",
-    "TrustValueError",
-    "Verdict",
-    "classify",
-    "display_round",
-    "enumerate_paths",
-    "evaluate_path",
-    "fixture_topology",
-    "generate_mesh",
-    "make_pair",
-    "most_likely_route",
-    "parse_topology",
-    "path_mean_trust",
-    "path_mean_untrust",
-    "propagate_trust_hop",
-    "propagate_untrust_hop",
-    "rank_paths",
-    "serialize_topology",
-    "simulate",
-    "trust_matrix",
-    "untrust_matrix",
-]

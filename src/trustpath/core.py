@@ -19,6 +19,8 @@ def _unit(value, label: str) -> float:
         number = float(value)
     except (TypeError, ValueError):
         raise TrustValueError(f"{label} {value!r} is not a number") from None
+    except OverflowError:  # an int beyond the float range
+        number = math.inf if value > 0 else -math.inf
     if not 0.0 <= number <= 1.0:
         raise TrustValueError(f"{label} {number!r} outside [0, 1]")
     return number + 0.0  # -0.0 + 0.0 is 0.0
@@ -37,9 +39,6 @@ class TrustClass(IntEnum):
     def code(self) -> str:
         """Short display code: VL, L, I, H or VH."""
         return _CLASS_CODES[self]
-
-    def __str__(self) -> str:
-        return self.code
 
 
 _CLASS_CODES = {
@@ -78,14 +77,6 @@ class TrustPair:
         object.__setattr__(self, "trust", _unit(self.trust, "trust component"))
         object.__setattr__(self, "untrust", _unit(self.untrust, "untrust component"))
 
-    def complement(self) -> "TrustPair":
-        """The pair with trust and untrust swapped."""
-        return TrustPair(self.untrust, self.trust)
-
-    def is_complementary(self) -> bool:
-        """Whether trust + untrust equals one within COMPLEMENT_TOL."""
-        return abs(self.trust + self.untrust - 1.0) <= COMPLEMENT_TOL
-
 
 #: Full trust, the state every evaluation starts from at the source node.
 FULL_TRUST = TrustPair(1.0, 0.0)
@@ -107,10 +98,10 @@ def make_pair(
         trust = _unit(trust, "trust component")
         return TrustPair(trust, 1.0 - trust)
     pair = TrustPair(trust, untrust)
-    if strict and not pair.is_complementary():
+    if strict and abs(pair.trust + pair.untrust - 1.0) > COMPLEMENT_TOL:
         raise TrustValueError(
             f"trust {pair.trust!r} and untrust {pair.untrust!r} do not sum to 1 "
-            f"(tolerance {COMPLEMENT_TOL:g}); pass strict=False to allow this"
+            f"(tolerance {COMPLEMENT_TOL:g}); pass strict=False (--no-strict) to allow this"
         )
     return pair
 
@@ -144,7 +135,10 @@ def display_round(value: float, decimals: int) -> str:
     """
     if decimals < 0:
         raise TrustValueError(f"decimals must be >= 0, got {decimals!r}")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an int beyond the float range
+        value = math.inf if value > 0 else -math.inf
     if value < 0.0:
         raise TrustValueError(f"cannot display negative value {value!r}")
     if not math.isfinite(value):

@@ -40,12 +40,15 @@ class Topology:
     Node order is the declaration order and is significant: neighbor
     iteration, routing tie-breaks and canonical serialization all follow
     it. Instances are treated as immutable once constructed.
+
+    `edges` takes the two forms `dict()` takes: a mapping from (src, dst)
+    to TrustPair, or an iterable of ((src, dst), TrustPair) items.
     """
 
     def __init__(
         self,
         nodes: Iterable[str],
-        edges: Mapping[tuple[str, str], TrustPair] | Iterable[tuple[str, str, TrustPair]],
+        edges: Mapping[tuple[str, str], TrustPair] | Iterable[tuple[tuple[str, str], TrustPair]],
         source: str,
         destination: str,
     ):
@@ -66,14 +69,8 @@ class Topology:
         self.source = source
         self.destination = destination
 
-        if isinstance(edges, Mapping):
-            triples: Iterable[tuple[str, str, TrustPair]] = (
-                (src, dst, pair) for (src, dst), pair in edges.items()
-            )
-        else:
-            triples = edges
         self._pairs: dict[tuple[str, str], TrustPair] = {}
-        for src, dst, pair in triples:
+        for (src, dst), pair in edges.items() if isinstance(edges, Mapping) else edges:
             for endpoint in (src, dst):
                 if endpoint not in self._order:
                     raise TopologyError(f"edge endpoint {endpoint!r} is not a declared node")
@@ -93,16 +90,9 @@ class Topology:
             for node, targets in successors.items()
         }
 
-    @property
-    def edge_count(self) -> int:
-        return len(self._pairs)
-
     def edge_pairs(self) -> dict[tuple[str, str], TrustPair]:
         """A copy of the (src, dst) -> TrustPair mapping."""
         return dict(self._pairs)
-
-    def has_edge(self, src: str, dst: str) -> bool:
-        return (src, dst) in self._pairs
 
     def edge(self, src: str, dst: str) -> TrustPair:
         """The trust pair on the edge src -> dst."""
@@ -176,7 +166,7 @@ def parse_topology(text: str, *, strict: bool = True) -> Topology:
     """
     nodes: list[tuple[int, str]] = []
     roles: dict[str, tuple[int, str]] = {}
-    edges: list[tuple[int, tuple[str, str, TrustPair]]] = []
+    edges: list[tuple[int, tuple[str, str], TrustPair]] = []
     text = text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -207,7 +197,7 @@ def parse_topology(text: str, *, strict: bool = True) -> Topology:
                 pair = make_pair(*values, strict=strict)
             except TrustValueError as err:
                 raise TopologyParseError(str(err), lineno) from None
-            edges.append((lineno, (args[0], args[1], pair)))
+            edges.append((lineno, (args[0], args[1]), pair))
         else:
             raise TopologyParseError(f"unknown declaration {kind!r}", lineno)
     for kind in ("source", "dest"):
@@ -228,7 +218,8 @@ def parse_topology(text: str, *, strict: bool = True) -> Topology:
         line = None
 
     try:
-        return Topology(tracked(nodes), tracked(edges), source, dest)
+        items = ((n, (key, pair)) for n, key, pair in edges)  # lazily: one tuple less per edge
+        return Topology(tracked(nodes), tracked(items), source, dest)
     except TopologyError as err:
         if line is None:
             source_declared = any(name == source for _, name in nodes)

@@ -54,11 +54,12 @@ def brute_force_paths(topology: Topology) -> list[tuple[str, ...]]:
         for node in topology.nodes
         if node not in (topology.source, topology.destination)
     ]
+    pairs = topology.edge_pairs()
     found = []
     for length in range(len(inner) + 1):
         for middle in permutations(inner, length):
             candidate = (topology.source, *middle, topology.destination)
-            if all(topology.has_edge(a, b) for a, b in zip(candidate, candidate[1:])):
+            if all(hop in pairs for hop in zip(candidate, candidate[1:])):
                 found.append(candidate)
     return found
 

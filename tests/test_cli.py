@@ -342,6 +342,7 @@ def test_nonstrict_flag_allows_relaxed_pairs(tmp_path, capsys):
     strict_code, _, strict_err = run_cli(capsys, "route", "-t", str(relaxed))
     assert strict_code == 1
     assert "sum to 1" in strict_err
+    assert "strict=False" in strict_err and "--no-strict" in strict_err
     code, out, _ = run_cli(capsys, "route", "-t", str(relaxed), "--no-strict")
     assert code == 0
     assert out.splitlines()[0] == "route S→D"

@@ -4,7 +4,7 @@ import dataclasses
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from trustpath import (
@@ -69,11 +69,23 @@ def test_non_numbers_are_named():
         make_pair("x")
     with pytest.raises(TrustValueError, match=r"^trust component None is not a number$"):
         make_pair(None)
+    # an int too large for a float is out of range, not a bare OverflowError
+    huge = 10**400
+    with pytest.raises(TrustValueError, match=r"^trust component inf outside \[0, 1\]$"):
+        make_pair(huge)
+    with pytest.raises(TrustValueError, match=r"^untrust component -inf outside \[0, 1\]$"):
+        TrustPair(0, -huge)
+    with pytest.raises(TrustValueError, match=r"^untrust component inf outside \[0, 1\]$"):
+        TrustPair(0, huge)
+    with pytest.raises(TrustValueError, match=r"^trust value inf outside \[0, 1\]$"):
+        classify(huge)
+    with pytest.raises(TrustValueError, match=r"^theta_min inf outside \[0, 1\]$"):
+        ModelConstants(theta_min=huge)
 
 
 def test_full_trust_extreme():
     assert (FULL_TRUST.trust, FULL_TRUST.untrust) == (1.0, 0.0)
-    assert FULL_TRUST.is_complementary()
+    assert make_pair(1.0, 0.0) == FULL_TRUST
 
 
 def test_pair_is_slotted_frozen_hashable_and_equal_by_value():
@@ -88,19 +100,6 @@ def test_pair_is_slotted_frozen_hashable_and_equal_by_value():
     assert {pair: "edge"}[twin] == "edge"
     assert len({pair, twin, TrustPair(0.1, 0.9)}) == 2
     assert pair != TrustPair(0.1, 0.9)
-
-
-def test_complement_examples():
-    assert TrustPair(1.0, 0.0).complement() == TrustPair(0.0, 1.0)
-    assert TrustPair(0.5, 0.5).complement() == TrustPair(0.5, 0.5)
-    assert TrustPair(0.95, 0.05).complement() == TrustPair(0.05, 0.95)
-
-
-@settings(max_examples=1000)
-@given(trust=unit, untrust=unit)
-def test_complement_is_involution(trust, untrust):
-    pair = TrustPair(trust, untrust)
-    assert pair.complement().complement() == pair
 
 
 def test_classify_scale_values():
@@ -149,7 +148,6 @@ def test_class_order_and_codes():
     ]
     assert sorted(TrustClass) == ordered
     assert [label.code for label in ordered] == ["VL", "L", "I", "H", "VH"]
-    assert str(TrustClass.VERY_HIGH) == "VH"
 
 
 def test_display_round_truncates():
@@ -184,6 +182,11 @@ def test_display_round_rejects_bad_input():
         display_round(-0.5, 2)
     with pytest.raises(TrustValueError):
         display_round(0.5, -1)
+    # ints too large for a float, not a bare OverflowError
+    with pytest.raises(TrustValueError, match=r"^cannot display non-finite value inf$"):
+        display_round(10**400, 2)
+    with pytest.raises(TrustValueError, match=r"^cannot display negative value -inf$"):
+        display_round(-(10**400), 2)
 
 
 @given(

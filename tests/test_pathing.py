@@ -342,7 +342,7 @@ def _argmax_oracle_walk(topology, constants=DEFAULT_CONSTANTS):
         best = None
         top_trust = None
         for candidate in topology.nodes:
-            if candidate in seen or not topology.has_edge(node, candidate):
+            if candidate in seen or candidate not in topology.successors(node):
                 continue
             edge = topology.edge(node, candidate)
             top_trust = edge.trust if top_trust is None else max(top_trust, edge.trust)

@@ -136,12 +136,9 @@ def test_parse_strict_complementarity_toggle():
 
 
 def test_serialize_canonical_form():
-    topology = Topology(
-        ["S", "a", "D"],
-        {("a", "D"): make_pair(0.5), ("S", "a"): make_pair(1, 0)},
-        "S",
-        "D",
-    )
+    pairs = {("a", "D"): make_pair(0.5), ("S", "a"): make_pair(1, 0)}
+    topology = Topology(["S", "a", "D"], pairs, "S", "D")
+    assert Topology(["S", "a", "D"], pairs.items(), "S", "D") == topology
     assert serialize_topology(topology) == (
         "node S\nnode a\nnode D\nsource S\ndest D\n"
         "edge S a 1.0 0.0\nedge a D 0.5 0.5\n"
@@ -170,7 +167,7 @@ def test_random_round_trips():
 
 def test_demo_fixture_shape(demo_topology):
     assert len(demo_topology.nodes) == 13
-    assert demo_topology.edge_count == 32
+    assert len(demo_topology.edge_pairs()) == 32
     assert demo_topology.source == "S"
     assert demo_topology.destination == "D"
     assert demo_topology.nodes == ("S", "1", "2", "3", "4", "5", "6", "7", "8", "9", "10", "11", "D")
@@ -200,7 +197,7 @@ def test_demo_fixture_round_trips_strict(demo_topology):
 def test_generate_mesh_shape():
     topology = generate_mesh((4, 3, 4), TrustPair(0.5, 0.5))
     assert len(topology.nodes) == 13
-    assert topology.edge_count == 4 + 12 + 12 + 4
+    assert len(topology.edge_pairs()) == 4 + 12 + 12 + 4
     assert topology.successors("S") == ("1", "2", "3", "4")
     assert topology.successors("5") == ("8", "9", "10", "11")
 
@@ -208,7 +205,7 @@ def test_generate_mesh_shape():
 def test_generate_mesh_single_layer():
     topology = generate_mesh((1,), make_pair(1, 0))
     assert topology.nodes == ("S", "1", "D")
-    assert topology.edge_count == 2
+    assert len(topology.edge_pairs()) == 2
     assert topology.edge("S", "1") == TrustPair(1.0, 0.0)
 
 
