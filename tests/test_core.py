@@ -69,6 +69,9 @@ def test_non_numbers_are_named():
         make_pair("x")
     with pytest.raises(TrustValueError, match=r"^trust component None is not a number$"):
         make_pair(None)
+
+
+def test_ints_beyond_float_range_are_out_of_range():
     # an int too large for a float is out of range, not a bare OverflowError
     huge = 10**400
     with pytest.raises(TrustValueError, match=r"^trust component inf outside \[0, 1\]$"):
@@ -81,6 +84,10 @@ def test_non_numbers_are_named():
         classify(huge)
     with pytest.raises(TrustValueError, match=r"^theta_min inf outside \[0, 1\]$"):
         ModelConstants(theta_min=huge)
+    with pytest.raises(TrustValueError, match=r"^cannot display non-finite value inf$"):
+        display_round(huge, 2)
+    with pytest.raises(TrustValueError, match=r"^cannot display negative value -inf$"):
+        display_round(-huge, 2)
 
 
 def test_full_trust_extreme():
@@ -182,11 +189,6 @@ def test_display_round_rejects_bad_input():
         display_round(-0.5, 2)
     with pytest.raises(TrustValueError):
         display_round(0.5, -1)
-    # ints too large for a float, not a bare OverflowError
-    with pytest.raises(TrustValueError, match=r"^cannot display non-finite value inf$"):
-        display_round(10**400, 2)
-    with pytest.raises(TrustValueError, match=r"^cannot display negative value -inf$"):
-        display_round(-(10**400), 2)
 
 
 @given(

@@ -135,6 +135,18 @@ def test_parse_strict_complementarity_toggle():
     assert relaxed.edge("S", "D") == TrustPair(0.9, 0.3)
 
 
+def test_edges_take_a_mapping_or_items():
+    pairs = {("S", "a"): make_pair(1, 0), ("a", "D"): make_pair(0.5), ("S", "D"): make_pair(0)}
+    from_mapping = Topology(["S", "a", "D"], pairs, "S", "D")
+    # a one-pass iterator of ((src, dst), pair) items, as parse_topology passes
+    from_items = Topology(["S", "a", "D"], iter(pairs.items()), "S", "D")
+    assert from_items == from_mapping
+    assert from_items.edge_pairs() == pairs
+    assert from_items.successors("S") == ("a", "D")
+    with pytest.raises(TopologyError, match=r"^duplicate edge S -> a$"):
+        Topology(["S", "a", "D"], [(("S", "a"), make_pair(1))] * 2, "S", "D")
+
+
 def test_serialize_canonical_form():
     pairs = {("a", "D"): make_pair(0.5), ("S", "a"): make_pair(1, 0)}
     topology = Topology(["S", "a", "D"], pairs, "S", "D")
