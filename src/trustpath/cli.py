@@ -6,7 +6,7 @@ import json
 import sys
 from dataclasses import asdict, fields
 
-from .core import DEFAULT_CONSTANTS, ModelConstants, TrustValueError, display_round
+from .core import DEFAULT_CONSTANTS, MAX_DECIMALS, ModelConstants, TrustValueError, display_round
 from .pathing import (
     DEFAULT_PATH_CAP,
     PathCapExceeded,
@@ -15,7 +15,7 @@ from .pathing import (
     path_mean_trust,
     rank_paths,
 )
-from .propagation import Chaining, TestMode, evaluate_path
+from .propagation import Chaining, evaluate_path
 from .sim import simulate
 from .topology import PathError, TopologyError, fixture_topology, parse_topology, serialize_topology
 
@@ -63,7 +63,7 @@ def _common_options() -> argparse.ArgumentParser:
         type=int,
         default=2,
         metavar="N",
-        help="decimal places for text output, 0-12 (default: 2)",
+        help=f"decimal places for text output, 0-{MAX_DECIMALS} (default: 2)",
     )
     common.add_argument(
         "--strict",
@@ -230,10 +230,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
     nodes = tuple(token.strip() for token in args.path_spec.split(","))
     if any(not node for node in nodes):
         raise PathError(f"empty node id in path spec {args.path_spec!r}")
-    modes = [TestMode.TRUST, TestMode.UNTRUST] if args.mode == "both" else [TestMode(args.mode)]
-    chaining = Chaining(args.chaining)
+    modes = ("trust", "untrust") if args.mode == "both" else (args.mode,)
     evaluations = [
-        evaluate_path(topology, nodes, args.constants, mode, chaining) for mode in modes
+        evaluate_path(topology, nodes, args.constants, mode, args.chaining) for mode in modes
     ]
     confidential = all(evaluation.confidential for evaluation in evaluations)
     records = [
@@ -435,8 +434,8 @@ def main(argv: list[str] | None = None) -> int:
         )
         if args.cap < 1:
             raise TrustValueError(f"cap must be >= 1, got {args.cap}")
-        if not 0 <= args.decimals <= 12:
-            raise TrustValueError(f"decimals must be in [0, 12], got {args.decimals}")
+        if not 0 <= args.decimals <= MAX_DECIMALS:
+            raise TrustValueError(f"decimals must be in [0, {MAX_DECIMALS}], got {args.decimals}")
         return _HANDLERS[args.command](args)
     except PathCapExceeded as err:
         print(f"error: {err}", file=sys.stderr)

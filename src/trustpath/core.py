@@ -1,6 +1,7 @@
 """Trust value primitives: pairs, the linguistic scale, and display truncation."""
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, fields
 from decimal import ROUND_DOWN, Context, Decimal
 from enum import IntEnum
@@ -38,26 +39,13 @@ class TrustClass(IntEnum):
     @property
     def code(self) -> str:
         """Short display code: VL, L, I, H or VH."""
-        return _CLASS_CODES[self]
+        return _CODES[self - 1]
 
 
-_CLASS_CODES = {
-    TrustClass.VERY_LOW: "VL",
-    TrustClass.LOW: "L",
-    TrustClass.INDIFFERENT: "I",
-    TrustClass.HIGH: "H",
-    TrustClass.VERY_HIGH: "VH",
-}
-
-# Lower anchor of each label band; a value belongs to the label with the
-# greatest anchor at or below it.
-_CLASS_ANCHORS = (
-    (0.85, TrustClass.VERY_HIGH),
-    (0.70, TrustClass.HIGH),
-    (0.50, TrustClass.INDIFFERENT),
-    (0.30, TrustClass.LOW),
-    (0.00, TrustClass.VERY_LOW),
-)
+# The scale, ascending: a value takes the label whose band anchor is the greatest at or below it.
+_CLASSES = tuple(TrustClass)
+_CODES = ("VL", "L", "I", "H", "VH")
+_ANCHORS = (0.00, 0.30, 0.50, 0.70, 0.85)
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,8 +71,8 @@ FULL_TRUST = TrustPair(1.0, 0.0)
 
 
 def make_pair(
-    trust: float,
-    untrust: float | None = None,
+    trust: float | str,
+    untrust: float | str | None = None,
     *,
     strict: bool = True,
 ) -> TrustPair:
@@ -113,16 +101,15 @@ def classify(trust: float) -> TrustClass:
     one with the greatest anchor at or below the value, so e.g. 0.85
     is VERY_HIGH and 0.8499 is HIGH.
     """
-    value = _unit(trust, "trust value")
-    for anchor, label in _CLASS_ANCHORS:
-        if value >= anchor:
-            return label
-    raise AssertionError("unreachable: the 0.0 anchor matches every valid value")
+    return _CLASSES[bisect_right(_ANCHORS, _unit(trust, "trust value")) - 1]
 
 
-#: Wide enough to quantize the largest float, 1.8e308, to 12 decimals:
-#: 309 integer digits plus 12 fraction digits.
-_DISPLAY = Context(prec=321)
+#: The most decimal places display_round renders.
+MAX_DECIMALS = 12
+
+# Wide enough to quantize the largest float, 1.8e308, to MAX_DECIMALS
+# places: 309 integer digits plus the fraction digits.
+_DISPLAY = Context(prec=309 + MAX_DECIMALS)
 
 
 def display_round(value: float, decimals: int) -> str:
@@ -133,12 +120,14 @@ def display_round(value: float, decimals: int) -> str:
     genuine extra digits are dropped: 0.825 at two decimals is "0.82".
     Every finite value renders, however large.
     """
-    if decimals < 0:
-        raise TrustValueError(f"decimals must be >= 0, got {decimals!r}")
+    if not 0 <= decimals <= MAX_DECIMALS:
+        raise TrustValueError(f"decimals must be in [0, {MAX_DECIMALS}], got {decimals}")
     try:
         value = float(value)
     except OverflowError:  # an int beyond the float range
         value = math.inf if value > 0 else -math.inf
+    except (TypeError, ValueError):
+        raise TrustValueError(f"cannot display {value!r}: not a number") from None
     if value < 0.0:
         raise TrustValueError(f"cannot display negative value {value!r}")
     if not math.isfinite(value):

@@ -148,8 +148,8 @@ def evaluate_path(
     topology: Topology,
     path: tuple[str, ...] | list[str],
     constants: ModelConstants = DEFAULT_CONSTANTS,
-    mode: TestMode = TestMode.TRUST,
-    chaining: Chaining = Chaining.EDGE,
+    mode: TestMode | str = TestMode.TRUST,
+    chaining: Chaining | str = Chaining.EDGE,
 ) -> PathEvaluation:
     """Chain the per-hop test along a source-to-destination path.
 
@@ -157,8 +157,10 @@ def evaluate_path(
     k > 1 arrives with the pair of edge k - 1; under OUTPUT chaining it
     arrives with hop k - 1's output vector, which may drift outside
     [0, 1]; should it pass the largest float, TrustValueError names the
-    hop. The path must be a valid simple path of the topology.
+    hop. The path must be a valid simple path of the topology. mode and
+    chaining also take their members' values, such as "untrust".
     """
+    mode, chaining = TestMode(mode), Chaining(chaining)
     nodes = topology.validate_path(path)
     hop_test = propagate_trust_hop if mode is TestMode.TRUST else propagate_untrust_hop
     hops: list[HopResult] = []

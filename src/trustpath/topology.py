@@ -187,14 +187,8 @@ def parse_topology(text: str, *, strict: bool = True) -> Topology:
                 raise TopologyParseError(
                     "edge takes: <from> <to> <trust> [<untrust>]", lineno
                 )
-            values: list[float] = []
-            for token in args[2:]:
-                try:
-                    values.append(float(token))
-                except ValueError:
-                    raise TopologyParseError(f"not a number: {token!r}", lineno) from None
             try:
-                pair = make_pair(*values, strict=strict)
+                pair = make_pair(*args[2:], strict=strict)
             except TrustValueError as err:
                 raise TopologyParseError(str(err), lineno) from None
             edges.append((lineno, (args[0], args[1]), pair))

@@ -122,6 +122,8 @@ def test_classify_band_anchors():
     assert classify(0.8499) is TrustClass.HIGH
     assert classify(0.70) is TrustClass.HIGH
     assert classify(0.6999) is TrustClass.INDIFFERENT
+    assert classify(0.50) is TrustClass.INDIFFERENT
+    assert classify(0.4999) is TrustClass.LOW
     assert classify(0.30) is TrustClass.LOW
     assert classify(0.2999) is TrustClass.VERY_LOW
 
@@ -187,8 +189,14 @@ def test_display_round_renders_every_finite_value():
 def test_display_round_rejects_bad_input():
     with pytest.raises(TrustValueError):
         display_round(-0.5, 2)
-    with pytest.raises(TrustValueError):
-        display_round(0.5, -1)
+    with pytest.raises(TrustValueError, match=r"^cannot display 'x': not a number$"):
+        display_round("x", 2)
+    with pytest.raises(TrustValueError, match=r"^cannot display None: not a number$"):
+        display_round(None, 2)
+    for decimals in (-1, 13, 10**6):
+        message = rf"^decimals must be in \[0, 12\], got {decimals}$"
+        with pytest.raises(TrustValueError, match=message):
+            display_round(0.5, decimals)
 
 
 @given(

@@ -217,6 +217,22 @@ def test_output_chaining_overflow_names_the_hop():
     assert evaluate_path(chain, chain.nodes).confidential is False  # edge chaining stays finite
 
 
+@pytest.mark.parametrize("mode", list(TestMode))
+@pytest.mark.parametrize("chaining", list(Chaining))
+def test_evaluate_path_takes_mode_and_chaining_names(demo_topology, mode, chaining):
+    by_member = evaluate_path(demo_topology, REFERENCE_PATH, mode=mode, chaining=chaining)
+    by_name = evaluate_path(demo_topology, REFERENCE_PATH, mode=mode.value, chaining=chaining.value)
+    assert by_name == by_member
+    assert by_name.mode is mode
+
+
+def test_evaluate_path_rejects_unknown_mode_and_chaining_names(demo_topology):
+    with pytest.raises(ValueError):
+        evaluate_path(demo_topology, REFERENCE_PATH, mode="x")
+    with pytest.raises(ValueError):
+        evaluate_path(demo_topology, REFERENCE_PATH, chaining="x")
+
+
 def test_evaluate_path_rejects_bad_paths(demo_topology):
     with pytest.raises(PathError):
         evaluate_path(demo_topology, ("S", "99", "D"))

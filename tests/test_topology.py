@@ -90,6 +90,13 @@ def test_parse_error_carries_line_number():
         parse_topology("node S\nnode D\nsource S\ndest D\nedge S D 1.5 0\n")
     assert excinfo.value.line == 5
     assert "1.5" in str(excinfo.value)
+    with pytest.raises(TopologyParseError) as excinfo:
+        parse_topology("node S\nnode D\nsource S\ndest D\nedge S D 0.9 abc\n")
+    assert str(excinfo.value) == "line 5: untrust component 'abc' is not a number"
+    # Components are checked in order, so a bad trust is named before a bad untrust.
+    with pytest.raises(TopologyParseError) as excinfo:
+        parse_topology("node S\nnode D\nsource S\ndest D\nedge S D 2 abc\n")
+    assert str(excinfo.value) == "line 5: trust component 2.0 outside [0, 1]"
 
 
 @pytest.mark.parametrize(
@@ -101,6 +108,7 @@ def test_parse_error_carries_line_number():
         ("node S\nnode D\nsource S\ndest D\nedge S D\n", 5),  # missing values
         ("node S\nnode D\nsource S\ndest D\nedge S D 0.5 0.5 9\n", 5),  # too many values
         ("node S\nnode D\nsource S\ndest D\nedge S D abc\n", 5),  # not a number
+        ("node S\nnode D\nsource S\ndest D\nedge S D 0.9 abc\n", 5),  # untrust not a number
         ("node S\nnode S\nnode D\nsource S\ndest D\n", 2),  # duplicate node
         ("node S\nnode D\nsource S\nsource S\ndest D\n", 4),  # duplicate source
         ("node S\nnode D\nsource S\ndest D\nedge S D 0.5\nedge S D 0.5\n", 6),  # dup edge
