@@ -120,6 +120,8 @@ def display_round(value: float, decimals: int) -> str:
     genuine extra digits are dropped: 0.825 at two decimals is "0.82".
     Every finite value renders, however large.
     """
+    if not isinstance(decimals, int):
+        raise TrustValueError(f"decimals must be an int, got {decimals!r}")
     if not 0 <= decimals <= MAX_DECIMALS:
         raise TrustValueError(f"decimals must be in [0, {MAX_DECIMALS}], got {decimals}")
     try:

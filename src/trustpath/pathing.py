@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 from .core import DEFAULT_CONSTANTS, FULL_TRUST, ModelConstants, TrustClass, TrustPair, classify
 from .propagation import HopResult, Verdict, propagate_trust_hop
-from .topology import Topology
+from .topology import Topology, TopologyError
 
 #: Node sequence from source to destination.
 Path = tuple[str, ...]
@@ -55,22 +55,35 @@ def enumerate_paths(topology: Topology, cap: int = DEFAULT_PATH_CAP) -> list[Pat
     return paths
 
 
+def _path_edges(topology: Topology, path: Path | list[str]) -> list[TrustPair]:
+    """Edge pairs of a valid path, left to right; each hop's lookup also checks its nodes."""
+    nodes = tuple(path)
+    simple = 2 <= len(nodes) == len(set(nodes))
+    if not simple or nodes[0] != topology.source or nodes[-1] != topology.destination:
+        topology.validate_path(nodes)  # raises the PathError for this sequence
+    try:
+        return list(map(topology.edge, nodes, nodes[1:]))
+    except TopologyError:
+        topology.validate_path(nodes)  # raises the PathError for this sequence
+        raise
+
+
 def path_mean_trust(topology: Topology, path: Path | list[str]) -> float:
     """Arithmetic mean of the edge trust values along a valid path, summed left to right."""
-    nodes = topology.validate_path(path)
+    pairs = _path_edges(topology, path)
     total = 0.0
-    for src, dst in zip(nodes, nodes[1:]):
-        total += topology.edge(src, dst).trust
-    return total / (len(nodes) - 1)
+    for pair in pairs:
+        total += pair.trust
+    return total / len(pairs)
 
 
 def path_mean_untrust(topology: Topology, path: Path | list[str]) -> float:
     """Arithmetic mean of the edge untrust values along a valid path, summed left to right."""
-    nodes = topology.validate_path(path)
+    pairs = _path_edges(topology, path)
     total = 0.0
-    for src, dst in zip(nodes, nodes[1:]):
-        total += topology.edge(src, dst).untrust
-    return total / (len(nodes) - 1)
+    for pair in pairs:
+        total += pair.untrust
+    return total / len(pairs)
 
 
 @dataclass(frozen=True)

@@ -197,6 +197,9 @@ def test_display_round_rejects_bad_input():
         message = rf"^decimals must be in \[0, 12\], got {decimals}$"
         with pytest.raises(TrustValueError, match=message):
             display_round(0.5, decimals)
+    for decimals, shown in ((2.5, r"2\.5"), ("2", "'2'"), (None, "None")):
+        with pytest.raises(TrustValueError, match=rf"^decimals must be an int, got {shown}$"):
+            display_round(0.5, decimals)
 
 
 @given(

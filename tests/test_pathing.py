@@ -16,6 +16,7 @@ from trustpath import (
     TrustPair,
     Verdict,
     enumerate_paths,
+    fixture_topology,
     generate_mesh,
     make_pair,
     most_likely_route,
@@ -136,6 +137,76 @@ def test_path_means_add_left_to_right():
 def test_mean_trust_rejects_invalid_path(demo_topology):
     with pytest.raises(PathError):
         path_mean_trust(demo_topology, ("S", "D"))
+
+
+def _reference_mean(topology, nodes, field):
+    """validate_path, then a left-to-right sum over Topology.edge: the means' contract."""
+    path = topology.validate_path(nodes)
+    total = 0.0
+    for src, dst in zip(path, path[1:]):
+        total += getattr(topology.edge(src, dst), field)
+    return total / (len(path) - 1)
+
+
+def _outcome(mean, *args):
+    """A mean's value as exact hex, or the type and message of the PathError it raised."""
+    try:
+        return "value", mean(*args).hex()
+    except PathError as error:
+        return type(error), str(error)
+
+
+def _node_sequence(rng, topology):
+    """0-6 ids, drawn uniformly or walked along edges from the source (revisits allowed).
+
+    The ids are the declared ones plus "undeclared".
+    """
+    length = rng.randint(0, 6)
+    ids = [*topology.nodes, "undeclared"]
+    if rng.random() < 0.5:
+        return [rng.choice(ids) for _ in range(length)]
+    walk = [topology.source] if length else []
+    while 0 < len(walk) < length and topology.successors(walk[-1]):
+        walk.append(rng.choice(topology.successors(walk[-1])))
+    if walk and rng.random() < 0.5:
+        walk[-1] = topology.destination
+    if walk and rng.random() < 0.1:
+        walk[rng.randrange(len(walk))] = "undeclared"
+    return walk
+
+
+#: A fragment of each PathError message of validate_path, or "value" for a valid path.
+_OUTCOMES = ("value", "two nodes", "unknown node", "start at", "end at", "revisits", "no edge")
+
+
+def test_path_means_check_a_path_as_validate_path_does():
+    rng = random.Random(59)
+    seen = set()
+    for _ in range(300):
+        topology = random_topology(rng)
+        sequences = [_node_sequence(rng, topology) for _ in range(30)]
+        sequences += enumerate_paths(topology)[:5]
+        for nodes in sequences:
+            for mean, field in ((path_mean_trust, "trust"), (path_mean_untrust, "untrust")):
+                expected = _outcome(_reference_mean, topology, tuple(nodes), field)
+                for form in (list, tuple, iter):
+                    assert _outcome(mean, topology, form(nodes)) == expected, (topology, nodes)
+                message = "value" if expected[0] == "value" else expected[1]
+                seen.add(next(kind for kind in _OUTCOMES if kind in message))
+    assert seen == set(_OUTCOMES)
+
+
+def test_valid_paths_never_reach_validate_path(monkeypatch):
+    topology = fixture_topology()
+    expected = rank_paths(topology)
+
+    def refuse(self, nodes):
+        raise AssertionError(f"validate_path called on {nodes!r}")
+
+    monkeypatch.setattr(Topology, "validate_path", refuse)
+    count, ranked = rank_paths(topology)
+    assert count == len(ranked) == 48
+    assert ranked == expected[1]
 
 
 def test_rank_demo_mesh_top_two(demo_topology):
