@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import gc
 import json
 import sys
 from dataclasses import asdict, fields
@@ -428,6 +429,7 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse --help (0) or _Parser.error (EXIT_INPUT_ERROR)
         return exc.code
+    gc_enabled = gc.isenabled()
     try:
         args.constants = ModelConstants(
             **{field.name: getattr(args, field.name) for field in fields(ModelConstants)}
@@ -436,6 +438,9 @@ def main(argv: list[str] | None = None) -> int:
             raise TrustValueError(f"cap must be >= 1, got {args.cap}")
         if not 0 <= args.decimals <= MAX_DECIMALS:
             raise TrustValueError(f"decimals must be in [0, {MAX_DECIMALS}], got {args.decimals}")
+        # Paused: the commands' data holds no reference cycles, so refcounting frees
+        # it, and each collector pass would only rescan the live topology.
+        gc.disable()
         return _HANDLERS[args.command](args)
     except PathCapExceeded as err:
         print(f"error: {err}", file=sys.stderr)
@@ -443,3 +448,6 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    finally:
+        if gc_enabled:
+            gc.enable()

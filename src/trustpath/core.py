@@ -3,7 +3,7 @@
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, fields
-from decimal import ROUND_DOWN, Context, Decimal
+from decimal import Decimal
 from enum import IntEnum
 
 #: Allowed deviation of trust + untrust from 1 when both components are given.
@@ -107,10 +107,6 @@ def classify(trust: float) -> TrustClass:
 #: The most decimal places display_round renders.
 MAX_DECIMALS = 12
 
-# Wide enough to quantize the largest float, 1.8e308, to MAX_DECIMALS
-# places: 309 integer digits plus the fraction digits.
-_DISPLAY = Context(prec=309 + MAX_DECIMALS)
-
 
 def display_round(value: float, decimals: int) -> str:
     """Format a non-negative value truncated (never rounded up) at `decimals` places.
@@ -134,9 +130,11 @@ def display_round(value: float, decimals: int) -> str:
         raise TrustValueError(f"cannot display negative value {value!r}")
     if not math.isfinite(value):
         raise TrustValueError(f"cannot display non-finite value {value!r}")
-    quantum = Decimal(1).scaleb(-decimals)
-    shown = Decimal(repr(value)).quantize(quantum, rounding=ROUND_DOWN, context=_DISPLAY)
-    return f"{shown:f}"  # plain notation: str() would print a tiny value as "0E-12"
+    digits = repr(value)
+    if "e" in digits:  # 1e+16, 5e-324: Decimal writes the same value in plain notation
+        digits = f"{Decimal(digits):f}"
+    whole, _, fraction = digits.partition(".")
+    return f"{whole}.{fraction[:decimals]:0<{decimals}}" if decimals else whole
 
 
 @dataclass(frozen=True)

@@ -70,17 +70,20 @@ class Topology:
         self.destination = destination
 
         self._pairs: dict[tuple[str, str], TrustPair] = {}
+        order, pairs = self._order, self._pairs
         for (src, dst), pair in edges.items() if isinstance(edges, Mapping) else edges:
-            for endpoint in (src, dst):
-                if endpoint not in self._order:
-                    raise TopologyError(f"edge endpoint {endpoint!r} is not a declared node")
+            key = src, dst
+            if src not in order:  # the source is named first when both are undeclared
+                raise TopologyError(f"edge endpoint {src!r} is not a declared node")
+            if dst not in order:
+                raise TopologyError(f"edge endpoint {dst!r} is not a declared node")
             if src == dst:
                 raise TopologyError(f"self-loop on {src!r} is not allowed")
-            if (src, dst) in self._pairs:
+            if key in pairs:
                 raise TopologyError(f"duplicate edge {src} -> {dst}")
             if not isinstance(pair, TrustPair):
                 raise TopologyError(f"edge {src} -> {dst} value {pair!r} is not a TrustPair")
-            self._pairs[(src, dst)] = pair
+            pairs[key] = pair
 
         successors: dict[str, list[str]] = {node: [] for node in self.nodes}
         for src, dst in self._pairs:
@@ -169,29 +172,29 @@ def parse_topology(text: str, *, strict: bool = True) -> Topology:
     edges: list[tuple[int, tuple[str, str], TrustPair]] = []
     text = text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
     for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        # split() with no argument drops the whitespace around the tokens too.
+        tokens = raw.partition("#")[0].split()
+        if not tokens:
             continue
-        kind, *args = line.split()
-        if kind in ("node", "source", "dest"):
-            if len(args) != 1:
+        kind = tokens[0]
+        if kind == "edge":  # most lines of a large document, so tested first
+            if len(tokens) not in (4, 5):
+                raise TopologyParseError("edge takes: <from> <to> <trust> [<untrust>]", lineno)
+            try:  # the one-value form without a keyword, which costs per call
+                pair = (make_pair(tokens[3]) if len(tokens) == 4
+                        else make_pair(tokens[3], tokens[4], strict=strict))
+            except TrustValueError as err:
+                raise TopologyParseError(str(err), lineno) from None
+            edges.append((lineno, (tokens[1], tokens[2]), pair))
+        elif kind in ("node", "source", "dest"):
+            if len(tokens) != 2:
                 raise TopologyParseError(f"{kind} takes exactly one identifier", lineno)
             if kind == "node":
-                nodes.append((lineno, args[0]))
+                nodes.append((lineno, tokens[1]))
             elif kind in roles:
                 raise TopologyParseError(f"{kind} already declared", lineno)
             else:
-                roles[kind] = (lineno, args[0])
-        elif kind == "edge":
-            if len(args) not in (3, 4):
-                raise TopologyParseError(
-                    "edge takes: <from> <to> <trust> [<untrust>]", lineno
-                )
-            try:
-                pair = make_pair(*args[2:], strict=strict)
-            except TrustValueError as err:
-                raise TopologyParseError(str(err), lineno) from None
-            edges.append((lineno, (args[0], args[1]), pair))
+                roles[kind] = (lineno, tokens[1])
         else:
             raise TopologyParseError(f"unknown declaration {kind!r}", lineno)
     for kind in ("source", "dest"):

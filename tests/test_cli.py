@@ -1,6 +1,7 @@
 """Command-line surface: commands, output formats, and exit codes."""
 
 import csv
+import gc
 import io
 import json
 
@@ -14,6 +15,7 @@ from trustpath import (
     rank_paths,
     serialize_topology,
 )
+from trustpath import cli
 from trustpath.cli import main
 
 DEAD_END = (
@@ -359,6 +361,38 @@ def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     captured = capsys.readouterr()
     assert "COMMAND" in captured.out
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_restores_the_collector_state(enabled, demo_file, dead_end_file, capsys, monkeypatch):
+    cases = [
+        (0, ["route", "-t", demo_file]),
+        (1, ["route", "-t", "/nonexistent/nope.trust"]),
+        (2, ["route", "-t", dead_end_file]),
+        (3, ["enumerate", "-t", demo_file, "--cap", "10"]),
+        (1, ["check"]),  # argparse error
+        (0, ["--help"]),
+    ]
+    seen = []
+
+    def handler(args):
+        seen.append(gc.isenabled())
+        raise RuntimeError("unexpected")
+
+    monkeypatch.setitem(cli._HANDLERS, "fixture", handler)
+    was_enabled = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        for code, argv in cases:
+            assert main(argv) == code
+            assert gc.isenabled() is enabled, argv
+        with pytest.raises(RuntimeError):
+            main(["fixture"])
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was_enabled else gc.disable()
+    capsys.readouterr()
+    assert seen == [False]  # the collector is paused while a command runs
 
 
 def test_constants_flags_change_verdicts(tmp_path, capsys):

@@ -2,9 +2,10 @@
 
 import dataclasses
 import math
+from decimal import ROUND_DOWN, Context, Decimal
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from trustpath import (
@@ -210,6 +211,25 @@ def test_display_round_parses_back_at_or_below(value, decimals):
     shown = float(display_round(value, decimals))
     assert shown <= value
     assert value - shown < 10.0 ** (-decimals) + 1e-15
+
+
+@given(
+    value=st.one_of(unit, st.floats(min_value=0.0, allow_infinity=False)),
+    decimals=st.integers(min_value=0, max_value=12),
+)
+@example(value=0.0, decimals=12)
+@example(value=5e-324, decimals=12)
+@example(value=1.7976931348623157e308, decimals=12)
+@example(value=1e16, decimals=0)
+@example(value=9999999999999998.0, decimals=3)
+@example(value=0.17, decimals=2)
+@example(value=0.825, decimals=2)
+def test_display_round_is_decimal_truncation(value, decimals):
+    # The rule spelled out with Decimal: quantize the shortest repr, rounding down,
+    # in a context wide enough for 309 integer digits plus 12 fraction digits.
+    quantum = Decimal(1).scaleb(-decimals)
+    shown = Decimal(repr(value)).quantize(quantum, ROUND_DOWN, Context(prec=321))
+    assert display_round(value, decimals) == f"{shown:f}"
 
 
 def test_constants_defaults_and_validation():

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import random_topology
 from trustpath import (
@@ -12,6 +14,7 @@ from trustpath import (
     TopologyError,
     TopologyParseError,
     TrustPair,
+    TrustValueError,
     fixture_topology,
     generate_mesh,
     make_pair,
@@ -125,6 +128,122 @@ def test_parse_rejects_bad_documents(text, line):
     with pytest.raises(TopologyParseError) as excinfo:
         parse_topology(text)
     assert excinfo.value.line == line
+
+
+@pytest.mark.parametrize(
+    "edges,line,name",
+    [
+        ("edge S a 0.5\nedge X D 0.5\nedge a D 0.5\n", 7, "X"),  # undeclared source
+        ("edge S a 0.5\nedge a D 0.5\nedge a Y 0.5\n", 8, "Y"),  # undeclared destination
+        ("edge X Y 0.5\nedge S a 0.5\nedge a D 0.5\n", 6, "X"),  # both: the source is named
+    ],
+)
+def test_parse_names_an_undeclared_edge_endpoint(edges, line, name):
+    with pytest.raises(TopologyParseError) as excinfo:
+        parse_topology("node S\nnode a\nnode D\nsource S\ndest D\n" + edges)
+    assert excinfo.value.line == line
+    assert str(excinfo.value) == f"line {line}: edge endpoint {name!r} is not a declared node"
+
+
+def _reference_parse(text: str, strict: bool) -> Topology:
+    """The parser's rules written out plainly: the comment cut with split("#", 1), the
+    line stripped and then split, and the keyword star-unpacked from its arguments."""
+    nodes, roles, edges = [], {}, []
+    text = text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        kind, *args = line.split()
+        if kind in ("node", "source", "dest"):
+            if len(args) != 1:
+                raise TopologyParseError(f"{kind} takes exactly one identifier", lineno)
+            if kind == "node":
+                nodes.append((lineno, args[0]))
+            elif kind in roles:
+                raise TopologyParseError(f"{kind} already declared", lineno)
+            else:
+                roles[kind] = (lineno, args[0])
+        elif kind == "edge":
+            if len(args) not in (3, 4):
+                raise TopologyParseError("edge takes: <from> <to> <trust> [<untrust>]", lineno)
+            try:
+                pair = make_pair(*args[2:], strict=strict)
+            except TrustValueError as err:
+                raise TopologyParseError(str(err), lineno) from None
+            edges.append((lineno, (args[0], args[1]), pair))
+        else:
+            raise TopologyParseError(f"unknown declaration {kind!r}", lineno)
+    for kind in ("source", "dest"):
+        if kind not in roles:
+            raise TopologyParseError(f"missing {kind} declaration")
+    (source_line, source), (dest_line, dest) = roles["source"], roles["dest"]
+    # As in parse_topology: the line of the declaration Topology was checking when it raised.
+    line = None
+
+    def tracked(declarations):
+        nonlocal line
+        for line, item in declarations:
+            yield item
+        line = None
+
+    try:
+        items = ((lineno, (key, pair)) for lineno, key, pair in edges)
+        return Topology(tracked(nodes), tracked(items), source, dest)
+    except TopologyError as err:
+        if line is None:
+            line = dest_line if any(name == source for _, name in nodes) else source_line
+        raise TopologyParseError(str(err), line) from None
+
+
+# Every character str.split() splits at (none lies above U+3000), except the two that end a line.
+_SPACES = "".join(ch for ch in map(chr, range(0x3001)) if ch.isspace() and ch not in "\r\n")
+_WORDS = ("node", "source", "dest", "edge", "link", "Node", "S", "D", "a", "b")
+_VALUES = ("0.5", "0.25", "0.75", "1", "-0", "abc", "1.5")
+
+
+@st.composite
+def _documents(draw) -> str:
+    declaration = st.one_of(
+        st.tuples(st.just("node"), st.sampled_from(("S", "D", "a", "b"))),
+        st.tuples(st.sampled_from(("source", "dest")), st.sampled_from(("S", "D", "a"))),
+        st.tuples(
+            st.just("edge"),
+            st.sampled_from(("S", "a", "b", "D")),
+            st.sampled_from(("a", "b", "D")),
+            st.lists(st.sampled_from(_VALUES), max_size=3),
+        ).map(lambda edge: (*edge[:3], *edge[3])),  # 3 to 6 tokens
+        st.lists(st.sampled_from(_WORDS + _VALUES), max_size=3),  # unknown keywords, blanks
+    )
+    header = [("node", "S"), ("node", "a"), ("node", "D"), ("source", "S"), ("dest", "D")]
+    lines = draw(st.lists(declaration, max_size=6))
+    if draw(st.booleans()):
+        lines = header + lines
+    spaces = st.text(_SPACES, min_size=1, max_size=2)
+    ends = st.text(_SPACES, max_size=2)  # may be empty, so '#' can follow a token directly
+    comment = st.text(_SPACES + "#ab edge 0.5", max_size=6).map(lambda text: "#" + text)
+    parts = [draw(st.sampled_from(("", "\ufeff")))]
+    for tokens in lines:
+        parts.append(draw(st.sampled_from(("", *_SPACES))))
+        parts.append(draw(spaces).join(tokens))
+        parts.append(draw(ends))
+        parts.append(draw(st.one_of(st.just(""), comment)))
+        parts.append(draw(st.sampled_from(("\n", "\r", "\r\n"))))
+    return "".join(parts)
+
+
+def _outcome(parse, text: str, strict: bool):
+    try:
+        topology = parse(text, strict=strict)
+    except ValueError as err:
+        return type(err), str(err), getattr(err, "line", None)
+    return topology, list(topology.edge_pairs().items())
+
+
+@settings(max_examples=400)
+@given(text=_documents(), strict=st.booleans())
+def test_parse_follows_the_line_rules(text, strict):
+    assert _outcome(parse_topology, text, strict) == _outcome(_reference_parse, text, strict)
 
 
 def test_parse_missing_source_or_dest():
