@@ -45,7 +45,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT_ERROR, f"{self.prog}: error: {message}\n")
 
 
-def _common_options() -> argparse.ArgumentParser:
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(
+        prog="trustpath",
+        description="Evaluate, rank, route and simulate over trust-weighted topologies.",
+    )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--topology",
@@ -95,78 +99,25 @@ def _common_options() -> argparse.ArgumentParser:
             metavar="X",
             help=f"{description} (default: %(default)s)",
         )
-    return common
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="trustpath",
-        description="Evaluate, rank, route and simulate over trust-weighted topologies.",
-    )
-    common = [_common_options()]
     commands = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
+    parsers = {
+        name: commands.add_parser(name, parents=[common], help=summary, description=description)
+        for name, (_, summary, description) in _COMMANDS.items()
+    }
 
-    check = commands.add_parser(
-        "check",
-        parents=common,
-        help="evaluate one path hop by hop",
-        description="Run the per-hop matrix test along a given path and report "
-        "each hop's output components and verdict.",
-    )
-    check.add_argument(
+    parsers["check"].add_argument(
         "path_spec", metavar="PATH", help="comma-separated node ids, e.g. S,3,7,11,D"
     )
-    check.add_argument(
+    parsers["check"].add_argument(
         "--mode",
         choices=("trust", "untrust", "both"),
         default="trust",
         help="which per-hop test to run (default: trust)",
     )
-
-    rank = commands.add_parser(
-        "rank",
-        parents=common,
-        help="rank all simple paths by mean trust",
-        description="Enumerate every simple source-to-destination path and rank "
-        "them by mean edge trust, best first.",
-    )
-    rank.add_argument("--top", type=int, metavar="N", help="show only the N best paths")
-
-    commands.add_parser(
-        "route",
-        parents=common,
-        help="select the greedy most-likely route",
-        description="Walk greedily from source to destination, taking the most "
-        "trusted acceptable edge at each node.",
-    )
-
-    commands.add_parser(
-        "enumerate",
-        parents=common,
-        help="list all simple paths",
-        description="List every simple source-to-destination path in "
-        "deterministic depth-first order.",
-    )
-
-    commands.add_parser(
-        "fixture",
-        parents=common,
-        help="emit the built-in demo topology",
-        description="Write the built-in 4-3-4 demo mesh as a topology document, "
-        "suitable for piping into the other commands.",
-    )
-
-    sim = commands.add_parser(
-        "simulate",
-        parents=common,
-        help="forward packets along the greedy route",
-        description="Send a batch of packets along the greedy most-likely route "
-        "and report exact delivery and drop counts.",
-    )
-    sim.add_argument(
+    parsers["rank"].add_argument("--top", type=int, metavar="N", help="show only the N best paths")
+    parsers["simulate"].add_argument(
         "--packets", type=int, default=100, metavar="N", help="packets to send (default: 100)"
     )
-
     return parser
 
 
@@ -190,6 +141,19 @@ def _text(value, decimals: int) -> str:
     if isinstance(value, float):
         return display_round(value, decimals)
     return str(value)
+
+
+def _hop_record(kind: str, number: int, src: str, dst: str, hop, **values) -> dict:
+    """A check hop or route step, keyed in the order _step_line and the CSV headers read."""
+    return {
+        kind: number,
+        "from": src,
+        "to": dst,
+        **values,
+        "trust": hop.trust,
+        "untrust": hop.untrust,
+        "verdict": str(hop.verdict),
+    }
 
 
 def _step_line(step: dict, decimals: int) -> str:
@@ -242,14 +206,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
             "path": evaluation.path,
             "confidential": evaluation.confidential,
             "hops": [
-                {
-                    "hop": number,
-                    "from": evaluation.path[number - 1],
-                    "to": evaluation.path[number],
-                    "trust": hop.trust,
-                    "untrust": hop.untrust,
-                    "verdict": str(hop.verdict),
-                }
+                _hop_record("hop", number, *evaluation.path[number - 1 : number + 1], hop)
                 for number, hop in enumerate(evaluation.hops, start=1)
             ],
         }
@@ -317,15 +274,7 @@ def _cmd_route(args: argparse.Namespace) -> int:
     route = most_likely_route(topology, args.constants)
     mean_trust = path_mean_trust(topology, route.path) if route.reached else None
     steps = [
-        {
-            "step": number,
-            "from": step.src,
-            "to": step.dst,
-            "edge_trust": step.edge.trust,
-            "trust": step.hop.trust,
-            "untrust": step.hop.untrust,
-            "verdict": str(step.hop.verdict),
-        }
+        _hop_record("step", number, step.src, step.dst, step.hop, edge_trust=step.edge.trust)
         for number, step in enumerate(route.steps, start=1)
     ]
 
@@ -412,13 +361,44 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_HANDLERS = {
-    "check": _cmd_check,
-    "rank": _cmd_rank,
-    "route": _cmd_route,
-    "enumerate": _cmd_enumerate,
-    "fixture": _cmd_fixture,
-    "simulate": _cmd_simulate,
+# Each command's handler, its one-line help and its --help description, in listing order.
+_COMMANDS = {
+    "check": (
+        _cmd_check,
+        "evaluate one path hop by hop",
+        "Run the per-hop matrix test along a given path and report "
+        "each hop's output components and verdict.",
+    ),
+    "rank": (
+        _cmd_rank,
+        "rank all simple paths by mean trust",
+        "Enumerate every simple source-to-destination path and rank "
+        "them by mean edge trust, best first.",
+    ),
+    "route": (
+        _cmd_route,
+        "select the greedy most-likely route",
+        "Walk greedily from source to destination, taking the most "
+        "trusted acceptable edge at each node.",
+    ),
+    "enumerate": (
+        _cmd_enumerate,
+        "list all simple paths",
+        "List every simple source-to-destination path in "
+        "deterministic depth-first order.",
+    ),
+    "fixture": (
+        _cmd_fixture,
+        "emit the built-in demo topology",
+        "Write the built-in 4-3-4 demo mesh as a topology document, "
+        "suitable for piping into the other commands.",
+    ),
+    "simulate": (
+        _cmd_simulate,
+        "forward packets along the greedy route",
+        "Send a batch of packets along the greedy most-likely route "
+        "and report exact delivery and drop counts.",
+    ),
 }
 
 
@@ -441,7 +421,8 @@ def main(argv: list[str] | None = None) -> int:
         # Paused: the commands' data holds no reference cycles, so refcounting frees
         # it, and each collector pass would only rescan the live topology.
         gc.disable()
-        return _HANDLERS[args.command](args)
+        handler, _, _ = _COMMANDS[args.command]
+        return handler(args)
     except PathCapExceeded as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CAP_EXCEEDED

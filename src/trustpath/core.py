@@ -121,7 +121,7 @@ def display_round(value: float, decimals: int) -> str:
     if not 0 <= decimals <= MAX_DECIMALS:
         raise TrustValueError(f"decimals must be in [0, {MAX_DECIMALS}], got {decimals}")
     try:
-        value = float(value)
+        value = float(value) + 0.0  # -0.0 + 0.0 is 0.0, so no "-0.00"
     except OverflowError:  # an int beyond the float range
         value = math.inf if value > 0 else -math.inf
     except (TypeError, ValueError):

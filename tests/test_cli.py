@@ -4,6 +4,7 @@ import csv
 import gc
 import io
 import json
+import re
 
 import pytest
 
@@ -363,6 +364,32 @@ def test_help_exits_zero(capsys):
     assert "COMMAND" in captured.out
 
 
+def test_command_table_and_parser_agree(capsys, monkeypatch):
+    # Content, not layout: whitespace is collapsed and the width fixed, so a
+    # Python version that lays help out differently still passes.
+    monkeypatch.setenv("COLUMNS", "200")
+    own_options = {
+        "check": (r"\bPATH\b", r"--mode\b"),
+        "rank": (r"--top\b",),
+        "simulate": (r"--packets\b",),
+    }
+    assert list(cli._COMMANDS) == ["check", "rank", "route", "enumerate", "fixture", "simulate"]
+    code, out, _ = run_cli(capsys, "--help")
+    listing = " ".join(out.split())
+    assert code == 0
+    positions = [
+        listing.index(f" {name} {summary}") for name, (_, summary, _) in cli._COMMANDS.items()
+    ]
+    assert positions == sorted(positions)
+    for name, (_, _, description) in cli._COMMANDS.items():
+        code, out, _ = run_cli(capsys, name, "--help")
+        assert code == 0
+        assert description in " ".join(out.split())
+        for owner, patterns in own_options.items():
+            for pattern in patterns:
+                assert bool(re.search(pattern, out)) is (owner == name), (name, pattern)
+
+
 @pytest.mark.parametrize("enabled", [True, False])
 def test_main_restores_the_collector_state(enabled, demo_file, dead_end_file, capsys, monkeypatch):
     cases = [
@@ -379,7 +406,7 @@ def test_main_restores_the_collector_state(enabled, demo_file, dead_end_file, ca
         seen.append(gc.isenabled())
         raise RuntimeError("unexpected")
 
-    monkeypatch.setitem(cli._HANDLERS, "fixture", handler)
+    monkeypatch.setitem(cli._COMMANDS, "fixture", (handler, *cli._COMMANDS["fixture"][1:]))
     was_enabled = gc.isenabled()
     try:
         gc.enable() if enabled else gc.disable()

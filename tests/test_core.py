@@ -181,6 +181,8 @@ def test_display_round_renders_every_finite_value():
     assert largest.startswith("17976931348623157") and largest.endswith("." + "0" * 12)
     assert len(largest) == 309 + 1 + 12
     assert display_round(0.0, 12) == "0." + "0" * 12  # not "0E-12"
+    for decimals in range(13):  # negative zero carries no sign into the text
+        assert display_round(-0.0, decimals) == display_round(0.0, decimals)
     assert display_round(5e-324, 7) == "0.0000000"
     for bad in (float("inf"), float("nan")):
         with pytest.raises(TrustValueError):
