@@ -43,8 +43,6 @@ from .propagation import (
     evaluate_path,
     propagate_trust_hop,
     propagate_untrust_hop,
-    trust_matrix,
-    untrust_matrix,
 )
 from .sim import SimReport, simulate
 from .topology import (

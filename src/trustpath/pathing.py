@@ -103,10 +103,13 @@ def rank_paths(
     """The number of simple paths, and the paths ranked by mean trust, best first.
 
     Ties break by mean untrust ascending, then by enumeration order. With
-    top=k only the k best paths are kept, in a bounded heap, and returned;
-    the count still covers every path, and the cap still applies to all of
-    them. Means are kept at full precision; any truncation is display-only.
+    top=k >= 1 only the k best paths are kept, in a bounded heap, and
+    returned; the count still covers every path, and the cap still applies
+    to all of them. Means are kept at full precision; any truncation is
+    display-only.
     """
+    if top is not None and top < 1:
+        raise ValueError(f"top must be >= 1, got {top!r}")
     paths = enumerate_paths(topology, cap)
     keys = (
         (-path_mean_trust(topology, path), path_mean_untrust(topology, path), index, path)

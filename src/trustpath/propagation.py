@@ -11,8 +11,6 @@ from .topology import Topology
 #: fraction of the larger one, so the verdict does not depend on scale.
 VERDICT_TOL = 1e-12
 
-Matrix = tuple[tuple[float, float], tuple[float, float]]
-
 
 class Verdict(Enum):
     """Outcome of comparing a hop's trust component against its untrust component."""
@@ -83,31 +81,6 @@ def _verdict(trust: float, untrust: float) -> Verdict:
     )
 
 
-def trust_matrix(next_edge: TrustPair, constants: ModelConstants = DEFAULT_CONSTANTS) -> Matrix:
-    """The 2x2 trust-test matrix toward the node behind next_edge.
-
-    The arrival state multiplies this matrix as a [trust untrust] row
-    vector; only the top-right entry depends on the edge.
-    """
-    return (
-        (constants.theta_min, next_edge.untrust),
-        (constants.theta_max, constants.theta_ind),
-    )
-
-
-def untrust_matrix(next_edge: TrustPair, constants: ModelConstants = DEFAULT_CONSTANTS) -> Matrix:
-    """The 2x2 untrust-test matrix toward the node behind next_edge.
-
-    The arrival state multiplies this matrix as an [untrust trust] row
-    vector, mirroring the trust test; only the top-right entry depends on
-    the edge.
-    """
-    return (
-        (constants.upsilon_min, next_edge.trust),
-        (constants.upsilon_max, constants.upsilon_ind),
-    )
-
-
 def propagate_trust_hop(
     arrival: TrustPair | HopResult,
     next_edge: TrustPair,
@@ -117,12 +90,13 @@ def propagate_trust_hop(
 
     arrival is the state at the current node and next_edge the pair on
     the edge to the candidate next node. The output is the [trust
-    untrust] row vector of arrival times trust_matrix(next_edge); the
-    verdict compares its two components.
+    untrust] row vector of arrival times the trust-test matrix
+        [ theta_min   next_edge.untrust ]
+        [ theta_max   theta_ind         ]
+    and the verdict compares its two components.
     """
-    (m00, m01), (m10, m11) = trust_matrix(next_edge, constants)
-    trust = arrival.trust * m00 + arrival.untrust * m10
-    untrust = arrival.trust * m01 + arrival.untrust * m11
+    trust = arrival.trust * constants.theta_min + arrival.untrust * constants.theta_max
+    untrust = arrival.trust * next_edge.untrust + arrival.untrust * constants.theta_ind
     return HopResult(trust, untrust, _verdict(trust, untrust))
 
 
@@ -134,13 +108,14 @@ def propagate_untrust_hop(
     """Run the untrust test for one hop.
 
     The trust test applied to the swapped state: the [untrust trust] row
-    vector of arrival times untrust_matrix(next_edge) gives the output
-    (untrust, trust). The result keeps (trust, untrust) slot order like
-    the trust test.
+    vector of arrival times the untrust-test matrix
+        [ upsilon_min   next_edge.trust ]
+        [ upsilon_max   upsilon_ind     ]
+    gives the output (untrust, trust). The result keeps (trust, untrust)
+    slot order like the trust test.
     """
-    (m00, m01), (m10, m11) = untrust_matrix(next_edge, constants)
-    untrust = arrival.untrust * m00 + arrival.trust * m10
-    trust = arrival.untrust * m01 + arrival.trust * m11
+    untrust = arrival.untrust * constants.upsilon_min + arrival.trust * constants.upsilon_max
+    trust = arrival.untrust * next_edge.trust + arrival.trust * constants.upsilon_ind
     return HopResult(trust, untrust, _verdict(trust, untrust))
 
 

@@ -330,6 +330,13 @@ def test_rank_top_k_is_prefix_of_full_ranking():
     assert trust_ties > full_ties > 100
 
 
+def test_rank_rejects_top_below_one():
+    for top in (0, -1):
+        # checked before enumerating, so a cap the topology passes does not mask it
+        with pytest.raises(ValueError, match=rf"^top must be >= 1, got {top}$"):
+            rank_paths(fixture_topology(), cap=1, top=top)
+
+
 def test_rank_respects_cap():
     with pytest.raises(PathCapExceeded):
         rank_paths(generate_mesh((2, 2)), cap=3)

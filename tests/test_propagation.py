@@ -21,8 +21,6 @@ from trustpath import (
     make_pair,
     propagate_trust_hop,
     propagate_untrust_hop,
-    trust_matrix,
-    untrust_matrix,
 )
 
 TOL = 1e-12
@@ -33,17 +31,51 @@ REFERENCE_EDGE_VALUES = [(0.95, 0.05), (0.6, 0.4), (0.9, 0.1), (0.8, 0.2)]
 TRUST_CHAIN = [(0.51, 0.05), (0.5345, 0.405), (0.706, 0.26), (0.559, 0.23)]
 UNTRUST_CHAIN = [(0.5, 0.0), (0.505, 0.0245), (0.66, 0.196), (0.53, 0.049)]
 
+# Six distinct entries, so a layout check cannot pass with two of them swapped.
+DISTINCT_CONSTANTS = ModelConstants(0.61, 0.92, 0.43, 0.34, 0.15, 0.26)
+LAYOUT_CONSTANTS = pytest.mark.parametrize(
+    "constants", [ModelConstants(), DISTINCT_CONSTANTS], ids=["defaults", "distinct"]
+)
+LAYOUT_EDGES = [make_pair(0.95, 0.05), make_pair(0.6, 0.4), make_pair(1, 0), make_pair(0, 1)]
 
-def test_trust_matrix_layout():
-    assert trust_matrix(make_pair(0.95, 0.05)) == ((0.51, 0.05), (1.0, 0.5))
-    assert trust_matrix(make_pair(0.9, 0.1)) == ((0.51, 0.1), (1.0, 0.5))
-    assert trust_matrix(make_pair(1, 0)) == ((0.51, 0.0), (1.0, 0.5))
+
+# The model's two hop matrices, written out independently of the program:
+# the trust test multiplies [trust untrust] by the first, the untrust test
+# multiplies [untrust trust] by the second.
+def trust_test_matrix(edge, constants):
+    return np.array(
+        [[constants.theta_min, edge.untrust], [constants.theta_max, constants.theta_ind]]
+    )
 
 
-def test_untrust_matrix_layout():
-    assert untrust_matrix(make_pair(0.95, 0.05)) == ((0.49, 0.95), (0.0, 0.5))
-    assert untrust_matrix(make_pair(0.6, 0.4)) == ((0.49, 0.6), (0.0, 0.5))
-    assert untrust_matrix(make_pair(0, 1)) == ((0.49, 0.0), (0.0, 0.5))
+def untrust_test_matrix(edge, constants):
+    return np.array(
+        [[constants.upsilon_min, edge.trust], [constants.upsilon_max, constants.upsilon_ind]]
+    )
+
+
+def random_constants(rng):
+    return ModelConstants(*(rng.random() for _ in range(6)))
+
+
+@LAYOUT_CONSTANTS
+def test_trust_matrix_layout(constants):
+    # arrivals (1, 0) and (0, 1) read out the matrix's top and bottom rows
+    for edge in LAYOUT_EDGES:
+        top = propagate_trust_hop(TrustPair(1, 0), edge, constants)
+        bottom = propagate_trust_hop(TrustPair(0, 1), edge, constants)
+        assert (top.trust, top.untrust) == (constants.theta_min, edge.untrust)
+        assert (bottom.trust, bottom.untrust) == (constants.theta_max, constants.theta_ind)
+
+
+@LAYOUT_CONSTANTS
+def test_untrust_matrix_layout(constants):
+    # the row vector is [untrust trust], so (0, 1) reads the top row, (1, 0) the bottom
+    for edge in LAYOUT_EDGES:
+        top = propagate_untrust_hop(TrustPair(0, 1), edge, constants)
+        bottom = propagate_untrust_hop(TrustPair(1, 0), edge, constants)
+        assert (top.untrust, top.trust) == (constants.upsilon_min, edge.trust)
+        assert (bottom.untrust, bottom.trust) == (constants.upsilon_max, constants.upsilon_ind)
 
 
 @pytest.mark.parametrize(
@@ -73,8 +105,9 @@ def test_trust_hop_matches_matrix_product():
     for _ in range(200):
         arrival = make_pair(rng.random())
         edge = make_pair(rng.random())
-        hop = propagate_trust_hop(arrival, edge)
-        vector = np.array([arrival.trust, arrival.untrust]) @ np.array(trust_matrix(edge))
+        constants = random_constants(rng)
+        hop = propagate_trust_hop(arrival, edge, constants)
+        vector = np.array([arrival.trust, arrival.untrust]) @ trust_test_matrix(edge, constants)
         assert hop.trust == pytest.approx(vector[0], abs=1e-15)
         assert hop.untrust == pytest.approx(vector[1], abs=1e-15)
 
@@ -85,8 +118,9 @@ def test_untrust_hop_matches_matrix_product():
     for _ in range(200):
         arrival = make_pair(rng.random())
         edge = make_pair(rng.random())
-        hop = propagate_untrust_hop(arrival, edge)
-        vector = np.array([arrival.untrust, arrival.trust]) @ np.array(untrust_matrix(edge))
+        constants = random_constants(rng)
+        hop = propagate_untrust_hop(arrival, edge, constants)
+        vector = np.array([arrival.untrust, arrival.trust]) @ untrust_test_matrix(edge, constants)
         assert hop.untrust == pytest.approx(vector[0], abs=1e-15)
         assert hop.trust == pytest.approx(vector[1], abs=1e-15)
 
@@ -178,12 +212,16 @@ def test_output_chaining_trust_frozen_values(demo_topology):
 
 
 def test_output_chaining_matches_numpy_chain(demo_topology):
-    vector = np.array([1.0, 0.0])
-    evaluation = evaluate_path(demo_topology, REFERENCE_PATH, chaining=Chaining.OUTPUT)
-    for hop, edge_values in zip(evaluation.hops, REFERENCE_EDGE_VALUES):
-        vector = vector @ np.array(trust_matrix(make_pair(*edge_values)))
-        assert hop.trust == pytest.approx(vector[0], abs=1e-15)
-        assert hop.untrust == pytest.approx(vector[1], abs=1e-15)
+    rng = random.Random(9)
+    for constants in [ModelConstants()] + [random_constants(rng) for _ in range(20)]:
+        vector = np.array([1.0, 0.0])
+        evaluation = evaluate_path(
+            demo_topology, REFERENCE_PATH, constants, chaining=Chaining.OUTPUT
+        )
+        for hop, edge_values in zip(evaluation.hops, REFERENCE_EDGE_VALUES):
+            vector = vector @ trust_test_matrix(make_pair(*edge_values), constants)
+            assert hop.trust == pytest.approx(vector[0], abs=1e-15)
+            assert hop.untrust == pytest.approx(vector[1], abs=1e-15)
 
 
 def test_output_chaining_untrust_frozen_values(demo_topology):

@@ -268,6 +268,8 @@ def test_edges_take_a_mapping_or_items():
     # a one-pass iterator of ((src, dst), pair) items, as parse_topology passes
     from_items = Topology(["S", "a", "D"], iter(pairs.items()), "S", "D")
     assert from_items == from_mapping
+    assert (from_mapping == "x") is False
+    assert repr(from_mapping) == "Topology(3 nodes, 3 edges, 'S' -> 'D')"
     assert from_items.edge_pairs() == pairs
     assert from_items.successors("S") == ("a", "D")
     with pytest.raises(TopologyError, match=r"^duplicate edge S -> a$"):
