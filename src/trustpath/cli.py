@@ -125,6 +125,8 @@ def _load_topology(args: argparse.Namespace):
     if not args.topology:
         raise TopologyError("no topology given; pass --topology FILE, or '-' for stdin")
     if args.topology == "-":
+        if sys.stdin is None:  # started with stdin closed
+            raise TopologyError("no standard input to read")
         text = sys.stdin.read()
     else:
         with open(args.topology, "r", encoding="utf-8") as handle:

@@ -83,8 +83,13 @@ def make_pair(
     check but still range-checks both components.
     """
     if untrust is None:
+        # Checked once here: 1.0 - trust is then in [0, 1] and never -0.0, so
+        # the pair is built without __post_init__ checking both again.
         trust = _unit(trust, "trust component")
-        return TrustPair(trust, 1.0 - trust)
+        pair = object.__new__(TrustPair)
+        object.__setattr__(pair, "trust", trust)
+        object.__setattr__(pair, "untrust", 1.0 - trust)
+        return pair
     pair = TrustPair(trust, untrust)
     if strict and abs(pair.trust + pair.untrust - 1.0) > COMPLEMENT_TOL:
         raise TrustValueError(

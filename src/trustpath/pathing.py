@@ -155,8 +155,8 @@ def most_likely_route(
     At each node the walk takes, among the unvisited successors whose
     edge gets an ACCEPTABLE verdict, the one with the highest edge trust;
     ties break by node declaration order. The trust test runs best-first,
-    over the candidates stably sorted by descending edge trust, and stops
-    at the first pass: the result equals testing every candidate. The
+    over the node's successors_by_trust order minus visited nodes, and
+    stops at the first pass: the result equals testing every candidate. The
     first hop starts from full trust, later hops arrive with the pair of
     the edge just taken. There is no backtracking: a node with no
     acceptable unvisited successor ends the walk with reached=False,
@@ -168,16 +168,9 @@ def most_likely_route(
     path = [current]
     steps: list[RouteStep] = []
     while current != topology.destination:
-        candidates = sorted(
-            (
-                (candidate, topology.edge(current, candidate))
-                for candidate in topology.successors(current)
-                if candidate not in visited
-            ),
-            key=lambda item: item[1].trust,
-            reverse=True,  # stable: equal trust keeps declaration order
-        )
-        for candidate, edge in candidates:
+        for candidate, edge in topology.successors_by_trust(current):
+            if candidate in visited:
+                continue
             hop = propagate_trust_hop(arrival, edge, constants)
             if hop.verdict is Verdict.ACCEPTABLE:
                 break

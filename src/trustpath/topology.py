@@ -71,8 +71,8 @@ class Topology:
 
         self._pairs: dict[tuple[str, str], TrustPair] = {}
         order, pairs = self._order, self._pairs
-        for (src, dst), pair in edges.items() if isinstance(edges, Mapping) else edges:
-            key = src, dst
+        for key, pair in edges.items() if isinstance(edges, Mapping) else edges:
+            src, dst = key = tuple(key)  # a tuple key is stored itself, not a copy of it
             if src not in order:  # the source is named first when both are undeclared
                 raise TopologyError(f"edge endpoint {src!r} is not a declared node")
             if dst not in order:
@@ -92,6 +92,7 @@ class Topology:
             node: tuple(sorted(targets, key=self._order.__getitem__))
             for node, targets in successors.items()
         }
+        self._by_trust: dict[str, tuple[tuple[str, TrustPair], ...]] = {}
 
     def edge_pairs(self) -> dict[tuple[str, str], TrustPair]:
         """A copy of the (src, dst) -> TrustPair mapping."""
@@ -110,6 +111,19 @@ class Topology:
             return self._successors[node]
         except KeyError:
             raise TopologyError(f"unknown node {node!r}") from None
+
+    def successors_by_trust(self, node: str) -> tuple[tuple[str, TrustPair], ...]:
+        """(neighbor, pair) items of node by descending edge trust, ties in declaration order.
+
+        Built from the edges the first time a node is asked for, then kept.
+        """
+        try:
+            return self._by_trust[node]
+        except KeyError:
+            items = ((dst, self._pairs[node, dst]) for dst in self.successors(node))
+            order = tuple(sorted(items, key=lambda item: item[1].trust, reverse=True))  # stable
+            self._by_trust[node] = order
+            return order
 
     def validate_path(self, nodes: Iterable[str]) -> tuple[str, ...]:
         """Check that a node sequence is a simple source-to-destination path here.

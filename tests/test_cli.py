@@ -219,6 +219,13 @@ def test_fixture_pipes_into_route(capsys, monkeypatch):
     assert out.splitlines()[0] == "route S→3→7→11→D"
 
 
+def test_stdin_closed_is_one_error_line(capsys, monkeypatch):
+    # a process started with stdin closed (`trustpath route -t - <&-`) has sys.stdin None
+    monkeypatch.setattr("sys.stdin", None)
+    code, out, err = run_cli(capsys, "route", "-t", "-")
+    assert (code, out, err) == (1, "", "error: no standard input to read\n")
+
+
 def test_simulate_text(demo_file, capsys):
     code, out, _ = run_cli(capsys, "simulate", "-t", demo_file, "--packets", "25")
     assert code == 0

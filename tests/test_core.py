@@ -11,12 +11,14 @@ from hypothesis import strategies as st
 from trustpath import (
     FULL_TRUST,
     ModelConstants,
+    TopologyParseError,
     TrustClass,
     TrustPair,
     TrustValueError,
     classify,
     display_round,
     make_pair,
+    parse_topology,
 )
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -39,6 +41,37 @@ def test_make_pair_fills_omitted_untrust():
 def test_make_pair_components_sum_to_one(trust):
     pair = make_pair(trust)
     assert pair.trust + pair.untrust == pytest.approx(1.0, abs=1e-15)
+
+
+def _bits(pair):
+    return type(pair), pair.trust.hex(), pair.untrust.hex()
+
+
+@given(trust=unit | st.integers(0, 1) | unit.map(repr) | st.sampled_from(["0", "1", "-0", ".5"]))
+@example(trust=-0.0)
+@example(trust="-0.0")
+@example(trust=5e-324)
+def test_one_value_make_pair_is_bit_identical_to_checked_construction(trust):
+    # make_pair(t) builds its pair without re-running TrustPair's checks
+    pair, checked = make_pair(trust), TrustPair(float(trust), 1.0 - float(trust))
+    assert _bits(pair) == _bits(checked)
+    assert pair == checked and hash(pair) == hash(checked)
+
+
+@pytest.mark.parametrize(
+    "token, message",
+    [
+        ("nan", "line 5: trust component nan outside [0, 1]"),
+        ("-0.1", "line 5: trust component -0.1 outside [0, 1]"),
+        ("abc", "line 5: trust component 'abc' is not a number"),
+        ("1e400", "line 5: trust component inf outside [0, 1]"),
+    ],
+)
+def test_one_value_edge_errors_keep_their_text(token, message):
+    with pytest.raises(TopologyParseError) as excinfo:
+        parse_topology(f"node S\nnode D\nsource S\ndest D\nedge S D {token}\n")
+    assert str(excinfo.value) == message
+    assert excinfo.value.line == 5
 
 
 def test_make_pair_strict_complementarity():

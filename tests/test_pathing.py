@@ -12,6 +12,7 @@ from trustpath import (
     PathCapExceeded,
     PathError,
     Topology,
+    TopologyError,
     TrustClass,
     TrustPair,
     Verdict,
@@ -22,9 +23,11 @@ from trustpath import (
     most_likely_route,
     path_mean_trust,
     path_mean_untrust,
+    parse_topology,
     pathing,
     propagate_trust_hop,
     rank_paths,
+    serialize_topology,
 )
 
 TOL = 1e-12
@@ -554,3 +557,83 @@ def test_route_first_hop_is_argmax_of_acceptable_source_edges():
             is Verdict.ACCEPTABLE
         ]
         assert route.steps[0].edge.trust == max(acceptable)
+
+
+def _best_first_oracle(topology, constants):
+    """The walk's path and the edges it must test, in order, found filter-first.
+
+    At each node: drop visited successors, stable-sort the rest by
+    descending edge trust, and test them until one is acceptable.
+    """
+    node, arrival = topology.source, TrustPair(1.0, 0.0)
+    walked, tested = [node], []
+    while node != topology.destination:
+        candidates = [dst for dst in topology.successors(node) if dst not in walked]
+        candidates.sort(key=lambda dst: -topology.edge(node, dst).trust)
+        for dst in candidates:
+            edge = topology.edge(node, dst)
+            tested.append(edge)
+            if propagate_trust_hop(arrival, edge, constants).verdict is Verdict.ACCEPTABLE:
+                break
+        else:
+            break
+        node, arrival = dst, edge
+        walked.append(node)
+    return tuple(walked), tested
+
+
+def test_route_tests_exactly_the_best_first_oracle_edges(monkeypatch):
+    # the walk sorts once per node and filters per step; the oracle filters
+    # first and sorts after: both must test the same edge objects in order
+    tested = _count_hop_tests(monkeypatch)
+    rng = random.Random(67)
+    fall_throughs = 0
+    for _ in range(300):
+        topology = random_topology(rng)
+        constants = ModelConstants(*(rng.randint(0, 100) / 100 for _ in range(6)))
+        tested.clear()
+        route = most_likely_route(topology, constants)
+        walked, expected = _best_first_oracle(topology, constants)
+        assert route.path == walked
+        assert len(tested) == len(expected)
+        assert all(got is want for got, want in zip(tested, expected))
+        fall_throughs += len(tested) - len(route.steps)
+    assert fall_throughs > 100
+
+
+def test_walks_leave_the_topology_as_parsed():
+    rng = random.Random(71)
+    for _ in range(40):
+        text = serialize_topology(random_topology(rng))
+        walked, fresh = parse_topology(text, strict=False), parse_topology(text, strict=False)
+        constant_sets = [ModelConstants(*(rng.randint(0, 100) / 100 for _ in range(6)))
+                         for _ in range(3)] + [DEFAULT_CONSTANTS]
+        routes = [most_likely_route(walked, constants) for constants in constant_sets * 2]
+        assert walked == fresh
+        assert repr(walked) == repr(fresh)
+        assert routes == [most_likely_route(fresh, constants) for constants in constant_sets * 2]
+
+
+def test_successors_by_trust_orders_ties_by_declaration():
+    pairs = {
+        ("S", "z"): make_pair(0.5),
+        ("S", "D"): make_pair(0.5),
+        ("S", "y"): make_pair(0.9),
+        ("S", "x"): TrustPair(0.5, 0.2),
+        ("x", "S"): make_pair(0.1),
+    }
+    topology = Topology(["S", "x", "y", "z", "D"], pairs, "S", "D")
+    order = topology.successors_by_trust("S")
+    assert [dst for dst, _ in order] == ["y", "x", "z", "D"]
+    assert all(pair is pairs["S", dst] for dst, pair in order)
+    assert topology.successors_by_trust("S") is order
+    assert topology.successors_by_trust("D") == ()
+
+
+def test_successors_by_trust_rejects_unknown_node():
+    topology = fixture_topology()
+    with pytest.raises(TopologyError, match=r"^unknown node 'nope'$"):
+        topology.successors_by_trust("nope")
+    # and again: a failed lookup keeps nothing
+    with pytest.raises(TopologyError, match=r"^unknown node 'nope'$"):
+        topology.successors_by_trust("nope")

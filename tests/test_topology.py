@@ -272,6 +272,8 @@ def test_edges_take_a_mapping_or_items():
     assert repr(from_mapping) == "Topology(3 nodes, 3 edges, 'S' -> 'D')"
     assert from_items.edge_pairs() == pairs
     assert from_items.successors("S") == ("a", "D")
+    # tuple keys are stored as given, so a parse holds one key tuple per edge, not two
+    assert all(a is b for a, b in zip(from_items.edge_pairs(), pairs))
     with pytest.raises(TopologyError, match=r"^duplicate edge S -> a$"):
         Topology(["S", "a", "D"], [(("S", "a"), make_pair(1))] * 2, "S", "D")
 
