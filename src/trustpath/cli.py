@@ -49,6 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="trustpath",
         description="Evaluate, rank, route and simulate over trust-weighted topologies.",
+        allow_abbrev=False,
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -101,7 +102,9 @@ def build_parser() -> argparse.ArgumentParser:
         )
     commands = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
     parsers = {
-        name: commands.add_parser(name, parents=[common], help=summary, description=description)
+        name: commands.add_parser(
+            name, parents=[common], help=summary, description=description, allow_abbrev=False
+        )
         for name, (_, summary, description) in _COMMANDS.items()
     }
 

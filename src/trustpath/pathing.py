@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 from .core import DEFAULT_CONSTANTS, FULL_TRUST, ModelConstants, TrustClass, TrustPair, classify
 from .propagation import HopResult, Verdict, propagate_trust_hop
-from .topology import Topology, TopologyError
+from .topology import Topology
 
 #: Node sequence from source to destination.
 Path = tuple[str, ...]
@@ -55,22 +55,9 @@ def enumerate_paths(topology: Topology, cap: int = DEFAULT_PATH_CAP) -> list[Pat
     return paths
 
 
-def _path_edges(topology: Topology, path: Path | list[str]) -> list[TrustPair]:
-    """Edge pairs of a valid path, left to right; each hop's lookup also checks its nodes."""
-    nodes = tuple(path)
-    simple = 2 <= len(nodes) == len(set(nodes))
-    if not simple or nodes[0] != topology.source or nodes[-1] != topology.destination:
-        topology.validate_path(nodes)  # raises the PathError for this sequence
-    try:
-        return list(map(topology.edge, nodes, nodes[1:]))
-    except TopologyError:
-        topology.validate_path(nodes)  # raises the PathError for this sequence
-        raise
-
-
 def path_mean_trust(topology: Topology, path: Path | list[str]) -> float:
     """Arithmetic mean of the edge trust values along a valid path, summed left to right."""
-    pairs = _path_edges(topology, path)
+    pairs = topology.path_pairs(path)
     total = 0.0
     for pair in pairs:
         total += pair.trust
@@ -79,7 +66,7 @@ def path_mean_trust(topology: Topology, path: Path | list[str]) -> float:
 
 def path_mean_untrust(topology: Topology, path: Path | list[str]) -> float:
     """Arithmetic mean of the edge untrust values along a valid path, summed left to right."""
-    pairs = _path_edges(topology, path)
+    pairs = topology.path_pairs(path)
     total = 0.0
     for pair in pairs:
         total += pair.untrust

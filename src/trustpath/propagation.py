@@ -136,12 +136,12 @@ def evaluate_path(
     chaining also take their members' values, such as "untrust".
     """
     mode, chaining = TestMode(mode), Chaining(chaining)
-    nodes = topology.validate_path(path)
+    nodes = tuple(path)
+    pairs = topology.path_pairs(nodes)
     hop_test = propagate_trust_hop if mode is TestMode.TRUST else propagate_untrust_hop
     hops: list[HopResult] = []
     arrival: TrustPair | HopResult = FULL_TRUST
-    for number, (src, dst) in enumerate(zip(nodes, nodes[1:]), start=1):
-        edge = topology.edge(src, dst)
+    for number, (src, dst, edge) in enumerate(zip(nodes, nodes[1:], pairs), start=1):
         hop = hop_test(arrival, edge, constants)
         if not (math.isfinite(hop.trust) and math.isfinite(hop.untrust)):
             raise TrustValueError(f"hop {number} {src} -> {dst}: output overflows the float range")

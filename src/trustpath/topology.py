@@ -125,14 +125,21 @@ class Topology:
             self._by_trust[node] = order
             return order
 
-    def validate_path(self, nodes: Iterable[str]) -> tuple[str, ...]:
-        """Check that a node sequence is a simple source-to-destination path here.
+    def path_pairs(self, nodes: Iterable[str]) -> list[TrustPair]:
+        """The edge pairs of a simple source-to-destination path here, hop by hop.
 
-        Returns the sequence as a tuple; raises PathError otherwise.
+        Raises PathError naming the first rule the node sequence breaks otherwise.
         """
         path = tuple(nodes)
         if len(path) < 2:
             raise PathError(f"a path needs at least two nodes, got {len(path)}")
+        # The cheap checks first; then each hop's lookup also checks its nodes.
+        if path[0] == self.source and path[-1] == self.destination and len(set(path)) == len(path):
+            try:
+                return list(map(self.edge, path, path[1:]))
+            except TopologyError:
+                pass
+        # Not a path: find the first rule it breaks, in the order they are listed here.
         for node in path:
             if node not in self._order:
                 raise PathError(f"unknown node {node!r}")
@@ -144,10 +151,8 @@ class Topology:
             )
         if len(set(path)) != len(path):
             raise PathError("path revisits a node")
-        for src, dst in zip(path, path[1:]):
-            if (src, dst) not in self._pairs:
-                raise PathError(f"no edge {src} -> {dst}")
-        return path
+        src, dst = next(hop for hop in zip(path, path[1:]) if hop not in self._pairs)
+        raise PathError(f"no edge {src} -> {dst}")
 
     def __eq__(self, other: object):
         if not isinstance(other, Topology):

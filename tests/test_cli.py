@@ -365,6 +365,25 @@ def test_usage_error_exits_one(capsys):
     assert "error" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("route", "--top", "3"),
+        ("check", "S,3,7,11,D", "--top", "3"),
+        ("enumerate", "--top", "3"),
+        ("simulate", "--top", "3"),
+        ("simulate", "--pack", "2"),
+    ],
+)
+def test_options_are_not_abbreviated(argv, demo_file, capsys):
+    # argparse would otherwise read --top as --topology and --pack as --packets.
+    code, out, err = run_cli(capsys, argv[0], "-t", demo_file, *argv[1:])
+    assert code == 1
+    assert out == ""
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert errors == [f"trustpath: error: unrecognized arguments: {' '.join(argv[-2:])}"]
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     captured = capsys.readouterr()

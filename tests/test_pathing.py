@@ -17,6 +17,7 @@ from trustpath import (
     TrustPair,
     Verdict,
     enumerate_paths,
+    evaluate_path,
     fixture_topology,
     generate_mesh,
     make_pair,
@@ -142,9 +143,32 @@ def test_mean_trust_rejects_invalid_path(demo_topology):
         path_mean_trust(demo_topology, ("S", "D"))
 
 
+def _validate_path(topology, nodes):
+    """The path rules, one after another, in the order their PathError is chosen."""
+    path = tuple(nodes)
+    if len(path) < 2:
+        raise PathError(f"a path needs at least two nodes, got {len(path)}")
+    for node in path:
+        if node not in topology.nodes:
+            raise PathError(f"unknown node {node!r}")
+    if path[0] != topology.source:
+        raise PathError(f"path must start at source {topology.source!r}, not {path[0]!r}")
+    if path[-1] != topology.destination:
+        raise PathError(
+            f"path must end at destination {topology.destination!r}, not {path[-1]!r}"
+        )
+    if len(set(path)) != len(path):
+        raise PathError("path revisits a node")
+    pairs = topology.edge_pairs()
+    for src, dst in zip(path, path[1:]):
+        if (src, dst) not in pairs:
+            raise PathError(f"no edge {src} -> {dst}")
+    return path
+
+
 def _reference_mean(topology, nodes, field):
-    """validate_path, then a left-to-right sum over Topology.edge: the means' contract."""
-    path = topology.validate_path(nodes)
+    """_validate_path, then a left-to-right sum over Topology.edge: the means' contract."""
+    path = _validate_path(topology, nodes)
     total = 0.0
     for src, dst in zip(path, path[1:]):
         total += getattr(topology.edge(src, dst), field)
@@ -155,6 +179,14 @@ def _outcome(mean, *args):
     """A mean's value as exact hex, or the type and message of the PathError it raised."""
     try:
         return "value", mean(*args).hex()
+    except PathError as error:
+        return type(error), str(error)
+
+
+def _evaluated(topology, nodes, mode):
+    """The path evaluate_path returns, or the type and message of the PathError it raised."""
+    try:
+        return "value", evaluate_path(topology, nodes, mode=mode).path
     except PathError as error:
         return type(error), str(error)
 
@@ -178,7 +210,7 @@ def _node_sequence(rng, topology):
     return walk
 
 
-#: A fragment of each PathError message of validate_path, or "value" for a valid path.
+#: A fragment of each PathError message of _validate_path, or "value" for a valid path.
 _OUTCOMES = ("value", "two nodes", "unknown node", "start at", "end at", "revisits", "no edge")
 
 
@@ -196,20 +228,28 @@ def test_path_means_check_a_path_as_validate_path_does():
                     assert _outcome(mean, topology, form(nodes)) == expected, (topology, nodes)
                 message = "value" if expected[0] == "value" else expected[1]
                 seen.add(next(kind for kind in _OUTCOMES if kind in message))
+            expected = ("value", tuple(nodes)) if expected[0] == "value" else expected
+            for mode in ("trust", "untrust"):
+                for form in (list, tuple, iter):
+                    assert _evaluated(topology, form(nodes), mode) == expected, (topology, nodes)
     assert seen == set(_OUTCOMES)
 
 
-def test_valid_paths_never_reach_validate_path(monkeypatch):
+def test_path_checks_make_one_edge_lookup_per_hop(monkeypatch):
     topology = fixture_topology()
-    expected = rank_paths(topology)
+    calls = []
+    lookup = Topology.edge
 
-    def refuse(self, nodes):
-        raise AssertionError(f"validate_path called on {nodes!r}")
+    def counted(self, src, dst):
+        calls.append((src, dst))
+        return lookup(self, src, dst)
 
-    monkeypatch.setattr(Topology, "validate_path", refuse)
-    count, ranked = rank_paths(topology)
-    assert count == len(ranked) == 48
-    assert ranked == expected[1]
+    monkeypatch.setattr(Topology, "edge", counted)
+    count, _ranked = rank_paths(topology)
+    assert len(calls) == 384 == count * 4 * 2  # 48 paths, 4 hops, two means
+    calls.clear()
+    evaluate_path(topology, ["S", "3", "7", "11", "D"])
+    assert calls == [("S", "3"), ("3", "7"), ("7", "11"), ("11", "D")]
 
 
 def test_rank_demo_mesh_top_two(demo_topology):

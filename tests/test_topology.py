@@ -391,22 +391,22 @@ def test_successors_follow_declaration_order(demo_topology):
     assert demo_topology.successors("D") == ()
 
 
-def test_validate_path(demo_topology):
-    assert demo_topology.validate_path(["S", "3", "7", "11", "D"]) == ("S", "3", "7", "11", "D")
-    with pytest.raises(PathError):
-        demo_topology.validate_path([])
-    with pytest.raises(PathError):
-        demo_topology.validate_path(["S"])
-    with pytest.raises(PathError):
-        demo_topology.validate_path(["S", "3"])  # does not end at D
-    with pytest.raises(PathError):
-        demo_topology.validate_path(["3", "7", "11", "D"])  # does not start at S
-    with pytest.raises(PathError):
-        demo_topology.validate_path(["S", "99", "D"])  # unknown node
-    with pytest.raises(PathError):
-        demo_topology.validate_path(["S", "D"])  # no such edge
-    with pytest.raises(PathError):
-        demo_topology.validate_path(["S", "3", "7", "3", "7", "11", "D"])  # revisits
+def test_path_pairs(demo_topology):
+    nodes = ("S", "3", "7", "11", "D")
+    expected = [demo_topology.edge(src, dst) for src, dst in zip(nodes, nodes[1:])]
+    assert demo_topology.path_pairs(list(nodes)) == expected
+    for bad, message in (
+        ([], "a path needs at least two nodes, got 0"),
+        (["S"], "a path needs at least two nodes, got 1"),
+        (["S", "3"], "path must end at destination 'D', not '3'"),
+        (["3", "7", "11", "D"], "path must start at source 'S', not '3'"),
+        (["S", "99", "D"], "unknown node '99'"),
+        (["S", "D"], "no edge S -> D"),
+        (["S", "3", "7", "3", "7", "11", "D"], "path revisits a node"),
+    ):
+        with pytest.raises(PathError) as raised:
+            demo_topology.path_pairs(bad)
+        assert str(raised.value) == message
 
 
 def test_edge_lookup_errors(demo_topology):
