@@ -3,9 +3,10 @@
 import argparse
 import csv
 import gc
-import json
+import math
 import sys
 from dataclasses import asdict, fields
+from json.encoder import encode_basestring_ascii as _quote  # the C encoder's quoting
 
 from .core import DEFAULT_CONSTANTS, MAX_DECIMALS, ModelConstants, TrustValueError, display_round
 from .pathing import (
@@ -170,29 +171,68 @@ def _step_line(step: dict, decimals: int) -> str:
 
 def _print_table(header, rows) -> None:
     widths = [max(map(len, column)) for column in zip(header, *rows)]
-    for row in (header, *rows):
-        print("  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip())
+    lines = ("  ".join(map(str.ljust, row, widths)).rstrip() for row in (header, *rows))
+    print("\n".join(lines))
 
 
-def _emit(args: argparse.Namespace, results: dict, header, rows, **inputs) -> None:
-    """Write a command's records as CSV rows or as its JSON document.
+def _write_csv(header, rows) -> None:
+    """Write rows as CSV; a node sequence is one arrow-joined cell, None an empty cell."""
+    writer = csv.writer(sys.stdout, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(
+        [ARROW.join(cell) if isinstance(cell, tuple) else cell for cell in row] for row in rows
+    )
 
-    results is the JSON payload and rows the same records as CSV cells in
-    header order; a node sequence becomes one arrow-joined cell, None an
-    empty cell. inputs are the command's own JSON inputs, after the
-    global ones.
+
+def _write_json(args: argparse.Namespace, results: dict, **inputs) -> None:
+    """Write a command's JSON document; inputs are its own inputs, after the global ones."""
+    base = {name: getattr(args, name) for name in ("topology", "strict", "chaining", "cap")}
+    inputs = {**base, "constants": asdict(args.constants), **inputs}
+    print(_json({"command": args.command, "inputs": inputs, "results": results}))
+
+
+def _json(value, indent: str = "") -> str:
+    """value as json.dumps(value, indent=2, allow_nan=False) writes it, byte for byte.
+
+    indent is the indentation of the line value starts on. Keys must be
+    str. A non-finite float raises ValueError; a type other than dict,
+    list, tuple, str, int, float, bool and None raises TypeError, and so
+    does a subclass of int, float, dict, list or tuple (json.dumps would
+    write an IntEnum member as its number).
     """
-    if args.format == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(
-            [ARROW.join(cell) if isinstance(cell, tuple) else cell for cell in row] for row in rows
-        )
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    kind = type(value)
+    if kind is int:
+        return repr(value)
+    if kind is float:
+        if not math.isfinite(value):
+            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+        return repr(value)
+    inner = indent + "  "
+    if kind is dict:
+        if not value:
+            return "{}"
+        items = [f"{_quote(key)}: {_json(item, inner)}" for key, item in value.items()]
+        opening, closing = "{", "}"
+    elif kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        try:  # a node sequence: all its items quoted in one C-level pass
+            items = list(map(_quote, value))
+        except TypeError:  # an item that is not a str
+            items = [_json(item, inner) for item in value]
+        opening, closing = "[", "]"
     else:
-        base = {name: getattr(args, name) for name in ("topology", "strict", "chaining", "cap")}
-        inputs = {**base, "constants": asdict(args.constants), **inputs}
-        document = {"command": args.command, "inputs": inputs, "results": results}
-        print(json.dumps(document, indent=2, allow_nan=False))
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+    separator = ",\n" + inner
+    return f"{opening}\n{inner}{separator.join(items)}\n{indent}{closing}"
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
@@ -225,15 +265,14 @@ def _cmd_check(args: argparse.Namespace) -> int:
             lines.extend(_step_line(hop, args.decimals) for hop in record["hops"])
             lines.append(f"confidential {_text(record['confidential'], args.decimals)}")
         print("\n".join(lines))
-    else:
-        _emit(
-            args,
-            {"confidential": confidential, "evaluations": records},
+    elif args.format == "csv":
+        _write_csv(
             ("mode", "hop", "from", "to", "trust", "untrust", "verdict"),
             ((record["mode"], *hop.values()) for record in records for hop in record["hops"]),
-            path=nodes,
-            mode=args.mode,
         )
+    else:
+        results = {"confidential": confidential, "evaluations": records}
+        _write_json(args, results, path=nodes, mode=args.mode)
     return EXIT_OK if confidential else EXIT_NEGATIVE
 
 
@@ -242,22 +281,16 @@ def _cmd_rank(args: argparse.Namespace) -> int:
         raise TrustValueError(f"--top must be >= 1, got {args.top}")
     topology = _load_topology(args)
     count, ranked = rank_paths(topology, args.cap, args.top)
-    records = [
-        {
-            "rank": entry.rank,
-            "path": entry.path,
-            "mean_trust": entry.mean_trust,
-            "mean_untrust": entry.mean_untrust,
-            "class": entry.trust_class.code,
-        }
+    header = ("rank", "path", "mean_trust", "mean_untrust", "class")
+    rows = [
+        (entry.rank, entry.path, entry.mean_trust, entry.mean_untrust, entry.trust_class.code)
         for entry in ranked
     ]
-    header = ("rank", "path", "mean_trust", "mean_untrust", "class")
 
     if args.format == "text":
         # Formatted column by column: these rows are most of a full listing's cost.
         decimals = args.decimals
-        rows = [
+        cells = [
             (
                 str(rank),
                 ARROW.join(path),
@@ -265,12 +298,14 @@ def _cmd_rank(args: argparse.Namespace) -> int:
                 display_round(untrust, decimals),
                 code,
             )
-            for rank, path, trust, untrust, code in map(dict.values, records)
+            for rank, path, trust, untrust, code in rows
         ]
-        _print_table(header, rows)
+        _print_table(header, cells)
+    elif args.format == "csv":
+        _write_csv(header, rows)
     else:
-        results = {"count": count, "paths": records}
-        _emit(args, results, header, map(dict.values, records), top=args.top)
+        records = [dict(zip(header, row)) for row in rows]
+        _write_json(args, {"count": count, "paths": records}, top=args.top)
     return EXIT_OK
 
 
@@ -293,6 +328,11 @@ def _cmd_route(args: argparse.Namespace) -> int:
         else:
             lines.append(f"stuck {route.stuck_node}")
         print("\n".join(lines))
+    elif args.format == "csv":
+        _write_csv(
+            ("step", "from", "to", "edge_trust", "trust", "untrust", "verdict", "mean_trust"),
+            ((*step.values(), mean_trust) for step in steps),
+        )
     else:
         results = {
             "reached": route.reached,
@@ -301,25 +341,21 @@ def _cmd_route(args: argparse.Namespace) -> int:
             "mean_trust": mean_trust,
             "steps": steps,
         }
-        _emit(
-            args,
-            results,
-            ("step", "from", "to", "edge_trust", "trust", "untrust", "verdict", "mean_trust"),
-            ((*step.values(), mean_trust) for step in steps),
-        )
+        _write_json(args, results)
     return EXIT_OK if route.reached else EXIT_NEGATIVE
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     topology = _load_topology(args)
     paths = enumerate_paths(topology, args.cap)
-    records = [{"index": index, "path": path} for index, path in enumerate(paths, start=1)]
     if args.format == "text":
-        for record in records:
-            print(f"{record['index']} {ARROW.join(record['path'])}")
+        numbered = enumerate(paths, start=1)
+        sys.stdout.write("".join(f"{index} {ARROW.join(path)}\n" for index, path in numbered))
+    elif args.format == "csv":
+        _write_csv(("index", "path"), enumerate(paths, start=1))
     else:
-        results = {"count": len(paths), "paths": records}
-        _emit(args, results, ("index", "path"), map(dict.values, records))
+        records = [{"index": index, "path": path} for index, path in enumerate(paths, start=1)]
+        _write_json(args, {"count": len(paths), "paths": records})
     return EXIT_OK
 
 
@@ -361,8 +397,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             for metric, key, value in rows
         ]
         print("\n".join(lines))
+    elif args.format == "csv":
+        _write_csv(("metric", "key", "value"), rows)
     else:
-        _emit(args, results, ("metric", "key", "value"), rows, packets=args.packets)
+        _write_json(args, results, packets=args.packets)
     return EXIT_OK
 
 

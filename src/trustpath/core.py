@@ -139,7 +139,7 @@ def display_round(value: float, decimals: int) -> str:
     if "e" in digits:  # 1e+16, 5e-324: Decimal writes the same value in plain notation
         digits = f"{Decimal(digits):f}"
     whole, _, fraction = digits.partition(".")
-    return f"{whole}.{fraction[:decimals]:0<{decimals}}" if decimals else whole
+    return whole + "." + (fraction + "0" * MAX_DECIMALS)[:decimals] if decimals else whole
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,17 @@
 """Command-line surface: commands, output formats, and exit codes."""
 
 import csv
+import errno
 import gc
 import io
 import json
+import math
 import re
+from enum import IntEnum
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import chain_topology, run_cli
 from trustpath import (
@@ -528,3 +533,70 @@ def test_formats_agree_on_values(demo_file, capsys):
         assert float(row[5]) == hop["untrust"]
         assert f"trust={display_round(hop['trust'], 2)}" in line
         assert f"untrust={display_round(hop['untrust'], 2)}" in line
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone, as under `trustpath ... | head -c 10`."""
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+@pytest.mark.parametrize("command", ["rank", "enumerate"])
+def test_closed_stdout_is_one_error_line(command, fmt, demo_file, capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdout", _ClosedPipe())
+    code = main([command, "-t", demo_file, "--format", fmt])
+    assert (code, capsys.readouterr().err) == (1, "error: [Errno 32] Broken pipe\n")
+
+
+# Quotes, backslashes, control characters, non-ASCII text and lone surrogates.
+_JSON_TEXT = st.text(
+    st.one_of(
+        st.sampled_from('"\\\x00\x1f\x7f→'),
+        st.characters(categories=["Cs"]),
+        st.characters(),
+    )
+)
+_JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(10**30), 10**30),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from((-0.0, 5e-324, 1e255)),
+    _JSON_TEXT,
+)
+_JSON_DOCUMENTS = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.lists(_JSON_TEXT, max_size=4).map(tuple),  # a node sequence
+        st.dictionaries(_JSON_TEXT, inner, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(document=_JSON_DOCUMENTS)
+def test_json_writer_matches_json_dumps(document):
+    assert cli._json(document) == json.dumps(document, indent=2, allow_nan=False)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_json_writer_refuses_non_finite_floats(value):
+    for document in (value, [value], {"paths": [{"path": ("S", "D"), "mean": value}]}):
+        with pytest.raises(ValueError, match="^Out of range float values are not JSON compliant"):
+            cli._json(document)
+
+
+class _Level(IntEnum):
+    ONE = 1
+
+
+@pytest.mark.parametrize("value", [_Level.ONE, {1, 2}, object()])
+def test_json_writer_refuses_other_types(value):
+    for document in (value, ["S", value], {"results": value}):
+        with pytest.raises(TypeError, match="is not JSON serializable$"):
+            cli._json(document)

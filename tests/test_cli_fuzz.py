@@ -3,8 +3,9 @@
 Random topology text on at most six nodes, random path specs and random
 argparse-valid flags, whose values may lie outside the model's domain,
 must give an exit code in {0, 1, 2, 3}, at most one line on stderr, and
-strict JSON under --format json. Most draws are well-formed, so that the
-commands run to the end; a few carry one bad line or one bad value.
+strict JSON under --format json, byte for byte as json.dumps(indent=2)
+writes it. Most draws are well-formed, so that the commands run to the
+end; a few carry one bad line or one bad value.
 """
 
 import io
@@ -113,4 +114,5 @@ def test_every_invocation_ends_cleanly(case):
     assert message == "" or (message.count("\n") == 1 and message.endswith("\n"))
     fmt = argv[argv.index("--format") + 1]
     if fmt == "json" and code in (0, 2) and argv[0] != "fixture":  # fixture ignores --format
-        json.loads(out.getvalue(), parse_constant=_refuse)
+        document = json.loads(out.getvalue(), parse_constant=_refuse)
+        assert out.getvalue() == json.dumps(document, indent=2) + "\n"
