@@ -1,8 +1,8 @@
 """Command-line interface: check, rank, route, enumerate, fixture, simulate."""
 
 import argparse
-import csv
 import gc
+import io
 import math
 import sys
 from dataclasses import asdict, fields
@@ -176,12 +176,14 @@ def _print_table(header, rows) -> None:
 
 
 def _write_csv(header, rows) -> None:
-    """Write rows as CSV; a node sequence is one arrow-joined cell, None an empty cell."""
-    writer = csv.writer(sys.stdout, lineterminator="\n")
+    """Write rows as one CSV document in one write; None is an empty cell."""
+    import csv  # here, not at start-up: only CSV output needs it
+
+    document = io.StringIO()
+    writer = csv.writer(document, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows(
-        [ARROW.join(cell) if isinstance(cell, tuple) else cell for cell in row] for row in rows
-    )
+    writer.writerows(rows)
+    sys.stdout.write(document.getvalue())
 
 
 def _write_json(args: argparse.Namespace, results: dict, **inputs) -> None:
@@ -282,8 +284,10 @@ def _cmd_rank(args: argparse.Namespace) -> int:
     topology = _load_topology(args)
     count, ranked = rank_paths(topology, args.cap, args.top)
     header = ("rank", "path", "mean_trust", "mean_untrust", "class")
+    join = args.format != "json"  # text and CSV write a path as one arrow-joined cell
     rows = [
-        (entry.rank, entry.path, entry.mean_trust, entry.mean_untrust, entry.trust_class.code)
+        (entry.rank, ARROW.join(entry.path) if join else entry.path, entry.mean_trust,
+         entry.mean_untrust, entry.trust_class.code)
         for entry in ranked
     ]
 
@@ -293,7 +297,7 @@ def _cmd_rank(args: argparse.Namespace) -> int:
         cells = [
             (
                 str(rank),
-                ARROW.join(path),
+                path,
                 display_round(trust, decimals),
                 display_round(untrust, decimals),
                 code,
@@ -352,7 +356,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         numbered = enumerate(paths, start=1)
         sys.stdout.write("".join(f"{index} {ARROW.join(path)}\n" for index, path in numbered))
     elif args.format == "csv":
-        _write_csv(("index", "path"), enumerate(paths, start=1))
+        _write_csv(("index", "path"), enumerate(map(ARROW.join, paths), start=1))
     else:
         records = [{"index": index, "path": path} for index, path in enumerate(paths, start=1)]
         _write_json(args, {"count": len(paths), "paths": records})
@@ -387,13 +391,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         {"node": node, "packets": count} for node, count in report.drop_points.items()
     ]
     rows = [(name, "", results[name]) for name in _TOTALS]
-    rows += [("route", use["path"], use["packets"]) for use in results["route_usage"]]
+    rows += [("route", ARROW.join(use["path"]), use["packets"]) for use in results["route_usage"]]
     rows += [("drop", drop["node"], drop["packets"]) for drop in results["drop_points"]]
 
     if args.format == "text":
-        decimals = args.decimals
         lines = [
-            f"{metric} {value}" if key == "" else f"{metric} {_text(key, decimals)} packets={value}"
+            f"{metric} {value}" if key == "" else f"{metric} {key} packets={value}"
             for metric, key, value in rows
         ]
         print("\n".join(lines))

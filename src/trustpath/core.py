@@ -3,7 +3,6 @@
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, fields
-from decimal import Decimal
 from enum import IntEnum
 
 #: Allowed deviation of trust + untrust from 1 when both components are given.
@@ -62,9 +61,12 @@ class TrustPair:
 
     def __post_init__(self):
         # Literal labels: parsing builds a pair per edge, so no per-field loop or f-string.
-        object.__setattr__(self, "trust", _unit(self.trust, "trust component"))
-        object.__setattr__(self, "untrust", _unit(self.untrust, "untrust component"))
+        _set_trust(self, _unit(self.trust, "trust component"))
+        _set_untrust(self, _unit(self.untrust, "untrust component"))
 
+
+# The slots' own setters, which a frozen pair's __setattr__ does not go through.
+_set_trust, _set_untrust = TrustPair.trust.__set__, TrustPair.untrust.__set__
 
 #: Full trust, the state every evaluation starts from at the source node.
 FULL_TRUST = TrustPair(1.0, 0.0)
@@ -85,10 +87,16 @@ def make_pair(
     if untrust is None:
         # Checked once here: 1.0 - trust is then in [0, 1] and never -0.0, so
         # the pair is built without __post_init__ checking both again.
-        trust = _unit(trust, "trust component")
+        try:
+            number = float(trust)
+        except (TypeError, ValueError, OverflowError):
+            number = math.nan
+        # _unit's range test and -0.0 fix-up, inlined: change the two together.
+        if not 0.0 <= number <= 1.0:  # also nan: _unit raises with its message
+            number = _unit(trust, "trust component")
         pair = object.__new__(TrustPair)
-        object.__setattr__(pair, "trust", trust)
-        object.__setattr__(pair, "untrust", 1.0 - trust)
+        _set_trust(pair, number + 0.0)  # -0.0 + 0.0 is 0.0
+        _set_untrust(pair, 1.0 - number)
         return pair
     pair = TrustPair(trust, untrust)
     if strict and abs(pair.trust + pair.untrust - 1.0) > COMPLEMENT_TOL:
@@ -137,6 +145,8 @@ def display_round(value: float, decimals: int) -> str:
         raise TrustValueError(f"cannot display non-finite value {value!r}")
     digits = repr(value)
     if "e" in digits:  # 1e+16, 5e-324: Decimal writes the same value in plain notation
+        from decimal import Decimal  # here, not at start-up: few values take this branch
+
         digits = f"{Decimal(digits):f}"
     whole, _, fraction = digits.partition(".")
     return whole + "." + (fraction + "0" * MAX_DECIMALS)[:decimals] if decimals else whole

@@ -40,18 +40,19 @@ def enumerate_paths(topology: Topology, cap: int = DEFAULT_PATH_CAP) -> list[Pat
     on_trail = {topology.source}
     pending = [iter(topology.successors(topology.source))]
     while pending:
-        step = next(pending[-1], None)
-        if step is None:
+        for step in pending[-1]:  # resumes where the last descent from this node left off
+            if step == destination:
+                if len(paths) >= cap:
+                    raise PathCapExceeded(cap)
+                paths.append((*trail, destination))
+            elif step not in on_trail:
+                trail.append(step)
+                on_trail.add(step)
+                pending.append(iter(topology.successors(step)))
+                break
+        else:
             pending.pop()
             on_trail.discard(trail.pop())
-        elif step == destination:
-            if len(paths) >= cap:
-                raise PathCapExceeded(cap)
-            paths.append((*trail, destination))
-        elif step not in on_trail:
-            trail.append(step)
-            on_trail.add(step)
-            pending.append(iter(topology.successors(step)))
     return paths
 
 

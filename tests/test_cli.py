@@ -6,7 +6,10 @@ import gc
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from enum import IntEnum
 
 import pytest
@@ -548,6 +551,20 @@ def test_closed_stdout_is_one_error_line(command, fmt, demo_file, capsys, monkey
     monkeypatch.setattr("sys.stdout", _ClosedPipe())
     code = main([command, "-t", demo_file, "--format", fmt])
     assert (code, capsys.readouterr().err) == (1, "error: [Errno 32] Broken pipe\n")
+
+
+def test_start_up_imports_neither_decimal_nor_csv():
+    # Each serves one branch (display_round's exponent form, CSV output), which imports it.
+    script = "import sys, trustpath.cli; print(sorted({'decimal', 'csv'} & set(sys.modules)))"
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", script],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout == "[]\n"
 
 
 # Quotes, backslashes, control characters, non-ASCII text and lone surrogates.

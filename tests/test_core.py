@@ -47,10 +47,18 @@ def _bits(pair):
     return type(pair), pair.trust.hex(), pair.untrust.hex()
 
 
-@given(trust=unit | st.integers(0, 1) | unit.map(repr) | st.sampled_from(["0", "1", "-0", ".5"]))
+# "1e-400" underflows to 0.0; float() also reads a sign without digits before the point
+# and Unicode digits, as in "٠.٥" (0.5 in Arabic-Indic digits).
+_TOKENS = ["0", "1", "-0", ".5", "1e-400", "+.5", "٠.٥"]
+
+
+@given(trust=unit | st.integers(0, 1) | unit.map(repr) | st.sampled_from(_TOKENS))
 @example(trust=-0.0)
 @example(trust="-0.0")
 @example(trust=5e-324)
+@example(trust="1e-400")
+@example(trust="+.5")
+@example(trust="٠.٥")
 def test_one_value_make_pair_is_bit_identical_to_checked_construction(trust):
     # make_pair(t) builds its pair without re-running TrustPair's checks
     pair, checked = make_pair(trust), TrustPair(float(trust), 1.0 - float(trust))
@@ -65,6 +73,8 @@ def test_one_value_make_pair_is_bit_identical_to_checked_construction(trust):
         ("-0.1", "line 5: trust component -0.1 outside [0, 1]"),
         ("abc", "line 5: trust component 'abc' is not a number"),
         ("1e400", "line 5: trust component inf outside [0, 1]"),
+        ("-inf", "line 5: trust component -inf outside [0, 1]"),
+        ("1_0", "line 5: trust component 10.0 outside [0, 1]"),
     ],
 )
 def test_one_value_edge_errors_keep_their_text(token, message):
