@@ -5,8 +5,6 @@ import gc
 import io
 import math
 import sys
-from dataclasses import asdict, fields
-from json.encoder import encode_basestring_ascii as _quote  # the C encoder's quoting
 
 from .core import DEFAULT_CONSTANTS, MAX_DECIMALS, ModelConstants, TrustValueError, display_round
 from .pathing import (
@@ -183,17 +181,17 @@ def _write_csv(header, rows) -> None:
     writer = csv.writer(document, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-    sys.stdout.write(document.getvalue())
+    print(document.getvalue(), end="")  # print skips a closed (None) stdout
 
 
 def _write_json(args: argparse.Namespace, results: dict, **inputs) -> None:
     """Write a command's JSON document; inputs are its own inputs, after the global ones."""
     base = {name: getattr(args, name) for name in ("topology", "strict", "chaining", "cap")}
-    inputs = {**base, "constants": asdict(args.constants), **inputs}
+    inputs = {**base, "constants": args.constants._asdict(), **inputs}
     print(_json({"command": args.command, "inputs": inputs, "results": results}))
 
 
-def _json(value, indent: str = "") -> str:
+def _json(value, indent: str = "", quote=None) -> str:
     """value as json.dumps(value, indent=2, allow_nan=False) writes it, byte for byte.
 
     indent is the indentation of the line value starts on. Keys must be
@@ -202,8 +200,10 @@ def _json(value, indent: str = "") -> str:
     does a subclass of int, float, dict, list or tuple (json.dumps would
     write an IntEnum member as its number).
     """
+    if quote is None:  # the outermost call: imported here, as only JSON output needs it
+        from json.encoder import encode_basestring_ascii as quote  # the C encoder's quoting
     if isinstance(value, str):
-        return _quote(value)
+        return quote(value)
     if value is None:
         return "null"
     if value is True:
@@ -221,15 +221,15 @@ def _json(value, indent: str = "") -> str:
     if kind is dict:
         if not value:
             return "{}"
-        items = [f"{_quote(key)}: {_json(item, inner)}" for key, item in value.items()]
+        items = [f"{quote(key)}: {_json(item, inner, quote)}" for key, item in value.items()]
         opening, closing = "{", "}"
     elif kind is list or kind is tuple:
         if not value:
             return "[]"
         try:  # a node sequence: all its items quoted in one C-level pass
-            items = list(map(_quote, value))
+            items = list(map(quote, value))
         except TypeError:  # an item that is not a str
-            items = [_json(item, inner) for item in value]
+            items = [_json(item, inner, quote) for item in value]
         opening, closing = "[", "]"
     else:
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
@@ -286,9 +286,8 @@ def _cmd_rank(args: argparse.Namespace) -> int:
     header = ("rank", "path", "mean_trust", "mean_untrust", "class")
     join = args.format != "json"  # text and CSV write a path as one arrow-joined cell
     rows = [
-        (entry.rank, ARROW.join(entry.path) if join else entry.path, entry.mean_trust,
-         entry.mean_untrust, entry.trust_class.code)
-        for entry in ranked
+        (rank, ARROW.join(path) if join else path, trust, untrust, label.code)
+        for path, trust, untrust, label, rank in ranked
     ]
 
     if args.format == "text":
@@ -354,7 +353,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     paths = enumerate_paths(topology, args.cap)
     if args.format == "text":
         numbered = enumerate(paths, start=1)
-        sys.stdout.write("".join(f"{index} {ARROW.join(path)}\n" for index, path in numbered))
+        print("".join(f"{index} {ARROW.join(path)}\n" for index, path in numbered), end="")
     elif args.format == "csv":
         _write_csv(("index", "path"), enumerate(map(ARROW.join, paths), start=1))
     else:
@@ -372,25 +371,21 @@ _FIXTURE_HEADER = (
 
 def _cmd_fixture(args: argparse.Namespace) -> int:
     # Always emits the topology document itself, whatever --format says.
-    sys.stdout.write(_FIXTURE_HEADER)
-    sys.stdout.write(serialize_topology(fixture_topology()))
+    print(_FIXTURE_HEADER + serialize_topology(fixture_topology()), end="")
     return EXIT_OK
-
-
-_TOTALS = ("packets_sent", "delivered", "dropped")
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     topology = _load_topology(args)
     report = simulate(topology, args.packets, args.constants)
-    results = {name: getattr(report, name) for name in _TOTALS}
+    results = report._asdict()  # its two dicts become lists of records below
     results["route_usage"] = [
         {"path": path, "packets": count} for path, count in report.route_usage.items()
     ]
     results["drop_points"] = [
         {"node": node, "packets": count} for node, count in report.drop_points.items()
     ]
-    rows = [(name, "", results[name]) for name in _TOTALS]
+    rows = [(name, "", results[name]) for name in ("packets_sent", "delivered", "dropped")]
     rows += [("route", ARROW.join(use["path"]), use["packets"]) for use in results["route_usage"]]
     rows += [("drop", drop["node"], drop["packets"]) for drop in results["drop_points"]]
 
@@ -457,9 +452,7 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code
     gc_enabled = gc.isenabled()
     try:
-        args.constants = ModelConstants(
-            **{field.name: getattr(args, field.name) for field in fields(ModelConstants)}
-        )
+        args.constants = ModelConstants._make(getattr(args, n) for n in ModelConstants._fields)
         if args.cap < 1:
             raise TrustValueError(f"cap must be >= 1, got {args.cap}")
         if not 0 <= args.decimals <= MAX_DECIMALS:

@@ -2,8 +2,8 @@
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, fields
 from enum import IntEnum
+from typing import NamedTuple
 
 #: Allowed deviation of trust + untrust from 1 when both components are given.
 COMPLEMENT_TOL = 1e-9
@@ -47,7 +47,6 @@ _CODES = ("VL", "L", "I", "H", "VH")
 _ANCHORS = (0.00, 0.30, 0.50, 0.70, 0.85)
 
 
-@dataclass(frozen=True, slots=True)
 class TrustPair:
     """A (trust, untrust) value pair with each component in [0, 1]; -0.0 is stored as 0.0.
 
@@ -56,16 +55,36 @@ class TrustPair:
     enforce that the components sum to one.
     """
 
-    trust: float
-    untrust: float
+    __slots__ = ("trust", "untrust")
 
-    def __post_init__(self):
+    def __init__(self, trust: float, untrust: float):
         # Literal labels: parsing builds a pair per edge, so no per-field loop or f-string.
-        _set_trust(self, _unit(self.trust, "trust component"))
-        _set_untrust(self, _unit(self.untrust, "untrust component"))
+        _set_trust(self, _unit(trust, "trust component"))
+        _set_untrust(self, _unit(untrust, "untrust component"))
+
+    def __setattr__(self, name, *value):  # also __delattr__, which passes no value
+        from dataclasses import FrozenInstanceError  # here, not at start-up: only a misuse needs it
+
+        raise FrozenInstanceError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.trust, self.untrust) == (other.trust, other.untrust)
+
+    def __hash__(self):
+        return hash((self.trust, self.untrust))
+
+    def __repr__(self):
+        return f"{type(self).__name__}(trust={self.trust!r}, untrust={self.untrust!r})"
+
+    def __reduce__(self):  # copy and pickle rebuild a pair through __init__
+        return type(self), (self.trust, self.untrust)
 
 
-# The slots' own setters, which a frozen pair's __setattr__ does not go through.
+# The slots' own setters, which bypass the pair's refusing __setattr__.
 _set_trust, _set_untrust = TrustPair.trust.__set__, TrustPair.untrust.__set__
 
 #: Full trust, the state every evaluation starts from at the source node.
@@ -86,7 +105,7 @@ def make_pair(
     """
     if untrust is None:
         # Checked once here: 1.0 - trust is then in [0, 1] and never -0.0, so
-        # the pair is built without __post_init__ checking both again.
+        # the pair is built without __init__ checking both again.
         try:
             number = float(trust)
         except (TypeError, ValueError, OverflowError):
@@ -152,15 +171,7 @@ def display_round(value: float, decimals: int) -> str:
     return whole + "." + (fraction + "0" * MAX_DECIMALS)[:decimals] if decimals else whole
 
 
-@dataclass(frozen=True)
-class ModelConstants:
-    """Fixed entries of the per-hop trust and untrust test matrices.
-
-    The theta values fill the trust-test matrix and the upsilon values
-    the untrust-test matrix; the defaults are the model's reference
-    operating point. All entries must lie in [0, 1]; -0.0 is stored as 0.0.
-    """
-
+class _ConstantEntries(NamedTuple):
     theta_min: float = 0.51
     theta_max: float = 1.00
     theta_ind: float = 0.50
@@ -168,9 +179,24 @@ class ModelConstants:
     upsilon_max: float = 0.00
     upsilon_ind: float = 0.50
 
-    def __post_init__(self):
-        for field in fields(self):
-            object.__setattr__(self, field.name, _unit(getattr(self, field.name), field.name))
+
+class ModelConstants(_ConstantEntries):
+    """Fixed entries of the per-hop trust and untrust test matrices.
+
+    The theta values fill the trust-test matrix and the upsilon values
+    the untrust-test matrix; the defaults are the model's reference
+    operating point. All entries must lie in [0, 1], however the tuple is
+    built (_make and _replace included); -0.0 is stored as 0.0.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        return cls._make(_ConstantEntries(*args, **kwargs))  # arity, keywords and defaults
+
+    @classmethod
+    def _make(cls, iterable):  # exactly six entries; _replace builds through _make too
+        return tuple.__new__(cls, map(_unit, _ConstantEntries._make(iterable), cls._fields))
 
 
 #: The reference operating point used when no constants are passed.

@@ -1,7 +1,7 @@
 """Simple-path enumeration, mean-trust ranking, and greedy route selection."""
 
 import heapq
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import DEFAULT_CONSTANTS, FULL_TRUST, ModelConstants, TrustClass, TrustPair, classify
 from .propagation import HopResult, Verdict, propagate_trust_hop
@@ -74,8 +74,7 @@ def path_mean_untrust(topology: Topology, path: Path | list[str]) -> float:
     return total / len(pairs)
 
 
-@dataclass(frozen=True)
-class RankedPath:
+class RankedPath(NamedTuple):
     """One path with its mean trust statistics and 1-based rank."""
 
     path: Path
@@ -111,8 +110,7 @@ def rank_paths(
     ]
 
 
-@dataclass(frozen=True)
-class RouteStep:
+class RouteStep(NamedTuple):
     """One greedy forwarding decision: the edge taken and its hop result."""
 
     src: str
@@ -121,8 +119,7 @@ class RouteStep:
     hop: HopResult
 
 
-@dataclass(frozen=True)
-class RouteResult:
+class RouteResult(NamedTuple):
     """Outcome of the greedy most-likely-route walk."""
 
     path: Path

@@ -1,8 +1,8 @@
 """Per-hop trust and untrust matrix tests, verdicts, and path evaluation."""
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .core import DEFAULT_CONSTANTS, FULL_TRUST, ModelConstants, TrustPair, TrustValueError
 from .topology import Topology
@@ -43,8 +43,7 @@ class Chaining(Enum):
     OUTPUT = "output"
 
 
-@dataclass(frozen=True)
-class HopResult:
+class HopResult(NamedTuple):
     """Output vector of one hop test plus its acceptance verdict.
 
     The components live in the (trust, untrust) slots regardless of test
@@ -57,8 +56,7 @@ class HopResult:
     verdict: Verdict
 
 
-@dataclass(frozen=True)
-class PathEvaluation:
+class PathEvaluation(NamedTuple):
     """Hop-by-hop evaluation of one path under a single test mode."""
 
     path: tuple[str, ...]

@@ -1,15 +1,14 @@
 """Deterministic packet-forwarding simulation over a topology."""
 
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import DEFAULT_CONSTANTS, ModelConstants
 from .pathing import Path, most_likely_route
 from .topology import Topology
 
 
-@dataclass
-class SimReport:
+class SimReport(NamedTuple):
     """Delivery statistics for a batch of identically forwarded packets."""
 
     packets_sent: int

@@ -1,6 +1,7 @@
 """Topology model, the line-oriented .trust file format, and generators."""
 
 from collections.abc import Iterable, Mapping
+from itertools import accumulate
 
 from .core import TrustPair, TrustValueError, make_pair
 
@@ -281,17 +282,11 @@ def generate_mesh(
     if default_pair is None:
         default_pair = TrustPair(0.5, 0.5)
 
-    layers: list[list[str]] = []
-    next_id = 1
-    for size in sizes:
-        layers.append([str(next_id + offset) for offset in range(size)])
-        next_id += size
+    starts = accumulate(sizes, initial=1)  # the first id of each layer
+    layers = [[str(n) for n in range(start, start + size)] for start, size in zip(starts, sizes)]
     nodes = ["S", *(node for layer in layers for node in layer), "D"]
-    pairs: dict[tuple[str, str], TrustPair] = {}
-    for src_layer, dst_layer in zip([["S"], *layers], [*layers, ["D"]]):
-        for src in src_layer:
-            for dst in dst_layer:
-                pairs[(src, dst)] = default_pair
+    hops = zip([["S"], *layers], [*layers, ["D"]])  # consecutive layers, fully connected
+    pairs = {(src, dst): default_pair for froms, tos in hops for src in froms for dst in tos}
     return Topology(nodes, pairs, "S", "D")
 
 

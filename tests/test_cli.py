@@ -553,9 +553,37 @@ def test_closed_stdout_is_one_error_line(command, fmt, demo_file, capsys, monkey
     assert (code, capsys.readouterr().err) == (1, "error: [Errno 32] Broken pipe\n")
 
 
-def test_start_up_imports_neither_decimal_nor_csv():
-    # Each serves one branch (display_round's exponent form, CSV output), which imports it.
-    script = "import sys, trustpath.cli; print(sorted({'decimal', 'csv'} & set(sys.modules)))"
+# One valid invocation of each command on the demo file.
+_INVOCATIONS = {
+    "check": ["check", "S,3,7,11,D"],
+    "rank": ["rank"],
+    "route": ["route"],
+    "enumerate": ["enumerate"],
+    "fixture": ["fixture"],
+    "simulate": ["simulate", "--packets", "5"],
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_closed_stdout_writes_nothing_and_keeps_the_exit_code(
+    command, fmt, demo_file, capsys, monkeypatch
+):
+    argv = [*_INVOCATIONS[command], "-t", demo_file, "--format", fmt]
+    code = main(argv)
+    assert capsys.readouterr().err == ""
+    monkeypatch.setattr("sys.stdout", None)  # as under `trustpath ... >&-`
+    assert main(argv) == code
+    monkeypatch.undo()
+    assert capsys.readouterr() == ("", "")
+
+
+def _start_up_imports(*names: str) -> list[str]:
+    """Which of names `import trustpath.cli` adds to a fresh interpreter started without site."""
+    script = (
+        "import sys; before = set(sys.modules); import trustpath.cli; "
+        f"print(*sorted(set({names!r}) & (set(sys.modules) - before)))"
+    )
     src = os.path.dirname(os.path.dirname(cli.__file__))
     result = subprocess.run(
         [sys.executable, "-S", "-c", script],
@@ -564,7 +592,18 @@ def test_start_up_imports_neither_decimal_nor_csv():
         text=True,
         check=True,
     )
-    assert result.stdout == "[]\n"
+    return result.stdout.split()
+
+
+def test_start_up_imports_neither_decimal_nor_csv():
+    # Each serves one branch (display_round's exponent form, CSV output), which imports it.
+    assert _start_up_imports("decimal", "csv") == []
+
+
+def test_start_up_imports_neither_dataclasses_nor_json():
+    # dataclasses brings inspect, and with it ast, dis and tokenize; only a misused
+    # TrustPair needs it. json serves JSON output alone, which imports it.
+    assert _start_up_imports("dataclasses", "inspect", "ast", "dis", "tokenize", "json") == []
 
 
 # Quotes, backslashes, control characters, non-ASCII text and lone surrogates.
