@@ -26,6 +26,10 @@ EXIT_CAP_EXCEEDED = 3
 
 ARROW = "→"
 
+# The columns of a check hop and of a route step, in CSV, JSON and text order.
+_HOP_HEADER = ("hop", "from", "to", "trust", "untrust", "verdict")
+_STEP_HEADER = ("step", "from", "to", "edge_trust", "trust", "untrust", "verdict")
+
 _CONSTANT_FLAGS = (
     ("theta-min", "trust-test matrix entry paired with the arrival trust"),
     ("theta-max", "trust-test matrix entry paired with the arrival untrust"),
@@ -136,41 +140,12 @@ def _load_topology(args: argparse.Namespace):
     return parse_topology(text, strict=args.strict)
 
 
-def _text(value, decimals: int) -> str:
-    """A record value as text: nodes as an arrow path, yes/no, a float truncated at decimals."""
-    if isinstance(value, tuple):
-        return ARROW.join(value)
-    if isinstance(value, bool):
-        return "yes" if value else "no"
-    if isinstance(value, float):
-        return display_round(value, decimals)
-    return str(value)
-
-
-def _hop_record(kind: str, number: int, src: str, dst: str, hop, **values) -> dict:
-    """A check hop or route step, keyed in the order _step_line and the CSV headers read."""
-    return {
-        kind: number,
-        "from": src,
-        "to": dst,
-        **values,
-        "trust": hop.trust,
-        "untrust": hop.untrust,
-        "verdict": str(hop.verdict),
-    }
-
-
-def _step_line(step: dict, decimals: int) -> str:
-    """A check hop or route step as '<kind> <n> <from>→<to> <name>=<value>... <verdict>'."""
-    (kind, number), (_, src), (_, dst), *values, (_, verdict) = step.items()
-    scores = " ".join(f"{name}={_text(value, decimals)}" for name, value in values)
-    return f"{kind} {number} {src}{ARROW}{dst} {scores} {verdict}"
-
-
-def _print_table(header, rows) -> None:
-    widths = [max(map(len, column)) for column in zip(header, *rows)]
-    lines = ("  ".join(map(str.ljust, row, widths)).rstrip() for row in (header, *rows))
-    print("\n".join(lines))
+def _step_lines(header, rows, decimals: int):
+    """Check hops or route steps as '<kind> <n> <from>→<to> <name>=<score>... <verdict>'."""
+    kind, _, _, *names, _ = header
+    for number, src, dst, *scores, verdict in rows:
+        shown = " ".join(f"{n}={display_round(v, decimals)}" for n, v in zip(names, scores))
+        yield f"{kind} {number} {src}{ARROW}{dst} {shown} {verdict}"
 
 
 def _write_csv(header, rows) -> None:
@@ -247,32 +222,39 @@ def _cmd_check(args: argparse.Namespace) -> int:
         evaluate_path(topology, nodes, args.constants, mode, args.chaining) for mode in modes
     ]
     confidential = all(evaluation.confidential for evaluation in evaluations)
-    records = [
-        {
-            "mode": evaluation.mode.value,
-            "path": evaluation.path,
-            "confidential": evaluation.confidential,
-            "hops": [
-                _hop_record("hop", number, *evaluation.path[number - 1 : number + 1], hop)
-                for number, hop in enumerate(evaluation.hops, start=1)
+    tables = [
+        (
+            evaluation,
+            [
+                (number, *nodes[number - 1 : number + 1], trust, untrust, str(verdict))
+                for number, (trust, untrust, verdict) in enumerate(evaluation.hops, start=1)
             ],
-        }
+        )
         for evaluation in evaluations
     ]
 
     if args.format == "text":
         lines = []
-        for record in records:
-            lines += [f"path {_text(record['path'], args.decimals)}", f"mode {record['mode']}"]
-            lines.extend(_step_line(hop, args.decimals) for hop in record["hops"])
-            lines.append(f"confidential {_text(record['confidential'], args.decimals)}")
+        for evaluation, rows in tables:
+            lines += [f"path {ARROW.join(nodes)}", f"mode {evaluation.mode.value}"]
+            lines.extend(_step_lines(_HOP_HEADER, rows, args.decimals))
+            lines.append(f"confidential {'yes' if evaluation.confidential else 'no'}")
         print("\n".join(lines))
     elif args.format == "csv":
         _write_csv(
-            ("mode", "hop", "from", "to", "trust", "untrust", "verdict"),
-            ((record["mode"], *hop.values()) for record in records for hop in record["hops"]),
+            ("mode", *_HOP_HEADER),
+            ((evaluation.mode.value, *row) for evaluation, rows in tables for row in rows),
         )
     else:
+        records = [
+            {
+                "mode": evaluation.mode.value,
+                "path": nodes,
+                "confidential": evaluation.confidential,
+                "hops": [dict(zip(_HOP_HEADER, row)) for row in rows],
+            }
+            for evaluation, rows in tables
+        ]
         results = {"confidential": confidential, "evaluations": records}
         _write_json(args, results, path=nodes, mode=args.mode)
     return EXIT_OK if confidential else EXIT_NEGATIVE
@@ -303,7 +285,9 @@ def _cmd_rank(args: argparse.Namespace) -> int:
             )
             for rank, path, trust, untrust, code in rows
         ]
-        _print_table(header, cells)
+        widths = [max(map(len, column)) for column in zip(header, *cells)]
+        lines = ("  ".join(map(str.ljust, row, widths)).rstrip() for row in (header, *cells))
+        print("\n".join(lines))
     elif args.format == "csv":
         _write_csv(header, rows)
     else:
@@ -316,33 +300,30 @@ def _cmd_route(args: argparse.Namespace) -> int:
     topology = _load_topology(args)
     route = most_likely_route(topology, args.constants)
     mean_trust = path_mean_trust(topology, route.path) if route.reached else None
-    steps = [
-        _hop_record("step", number, step.src, step.dst, step.hop, edge_trust=step.edge.trust)
-        for number, step in enumerate(route.steps, start=1)
+    rows = [
+        (number, src, dst, edge.trust, trust, untrust, str(verdict))
+        for number, (src, dst, edge, (trust, untrust, verdict)) in enumerate(route.steps, start=1)
     ]
 
     if args.format == "text":
         decimals = args.decimals
-        lines = [f"route {_text(route.path, decimals)}"]
-        lines.extend(_step_line(step, decimals) for step in steps)
-        lines.append(f"reached {_text(route.reached, decimals)}")
+        lines = [f"route {ARROW.join(route.path)}"]
+        lines.extend(_step_lines(_STEP_HEADER, rows, decimals))
+        lines.append(f"reached {'yes' if route.reached else 'no'}")
         if route.reached:
-            lines.append(f"mean_trust {_text(mean_trust, decimals)}")
+            lines.append(f"mean_trust {display_round(mean_trust, decimals)}")
         else:
             lines.append(f"stuck {route.stuck_node}")
         print("\n".join(lines))
     elif args.format == "csv":
-        _write_csv(
-            ("step", "from", "to", "edge_trust", "trust", "untrust", "verdict", "mean_trust"),
-            ((*step.values(), mean_trust) for step in steps),
-        )
+        _write_csv((*_STEP_HEADER, "mean_trust"), ((*row, mean_trust) for row in rows))
     else:
         results = {
             "reached": route.reached,
             "path": route.path,
             "stuck": route.stuck_node,
             "mean_trust": mean_trust,
-            "steps": steps,
+            "steps": [dict(zip(_STEP_HEADER, row)) for row in rows],
         }
         _write_json(args, results)
     return EXIT_OK if route.reached else EXIT_NEGATIVE
@@ -378,16 +359,9 @@ def _cmd_fixture(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     topology = _load_topology(args)
     report = simulate(topology, args.packets, args.constants)
-    results = report._asdict()  # its two dicts become lists of records below
-    results["route_usage"] = [
-        {"path": path, "packets": count} for path, count in report.route_usage.items()
-    ]
-    results["drop_points"] = [
-        {"node": node, "packets": count} for node, count in report.drop_points.items()
-    ]
-    rows = [(name, "", results[name]) for name in ("packets_sent", "delivered", "dropped")]
-    rows += [("route", ARROW.join(use["path"]), use["packets"]) for use in results["route_usage"]]
-    rows += [("drop", drop["node"], drop["packets"]) for drop in results["drop_points"]]
+    rows = [(name, "", getattr(report, name)) for name in ("packets_sent", "delivered", "dropped")]
+    rows += [("route", ARROW.join(path), count) for path, count in report.route_usage.items()]
+    rows += [("drop", node, count) for node, count in report.drop_points.items()]
 
     if args.format == "text":
         lines = [
@@ -398,6 +372,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     elif args.format == "csv":
         _write_csv(("metric", "key", "value"), rows)
     else:
+        results = report._replace(  # its two dicts as lists of records
+            route_usage=[{"path": p, "packets": n} for p, n in report.route_usage.items()],
+            drop_points=[{"node": d, "packets": n} for d, n in report.drop_points.items()],
+        )._asdict()
         _write_json(args, results, packets=args.packets)
     return EXIT_OK
 

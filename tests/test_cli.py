@@ -25,7 +25,7 @@ from trustpath import (
     serialize_topology,
 )
 from trustpath import cli
-from trustpath.cli import main
+from trustpath.cli import ARROW, main
 
 DEAD_END = (
     "node S\nnode a\nnode D\nsource S\ndest D\n"
@@ -576,6 +576,87 @@ def test_closed_stdout_writes_nothing_and_keeps_the_exit_code(
     assert main(argv) == code
     monkeypatch.undo()
     assert capsys.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_formats_format_only_what_they_write(command, fmt, demo_file, capsys, monkeypatch):
+    # Text rounds each score it shows: route 4 steps x 3 scores and the mean, check
+    # 2 modes x 4 hops x 2 scores, rank 48 paths x 2 means. CSV and JSON round none.
+    calls = []
+
+    def counted(value, decimals):
+        calls.append(value)
+        return display_round(value, decimals)
+
+    monkeypatch.setattr(cli, "display_round", counted)
+    both = ["--mode", "both"] if command == "check" else []
+    main([*_INVOCATIONS[command], *both, "-t", demo_file, "--format", fmt])
+    expected = {"route": 13, "check": 16, "rank": 96} if fmt == "text" else {}
+    assert len(calls) == expected.get(command, 0)
+
+
+# Node ids that a CSV cell must quote ('"') or that are not ASCII.
+_QUOTED_IDS = (
+    "node S\nnode \"q\nnode x'y\nnode é\nnode D\nsource S\ndest D\n"
+    "edge S \"q 0.9 0.1\nedge \"q x'y 0.8 0.2\nedge x'y é 0.9 0.1\n"
+    "edge é D 0.9 0.1\nedge S é 0.6 0.4\n"
+)
+
+
+def _arrows(sequences):
+    return [ARROW.join(sequence) for sequence in sequences]
+
+
+# Each command's arguments, and the ids and paths it writes, arrow-joined, as read
+# from its CSV rows (header dropped) and from its JSON results.
+_ID_READERS = {
+    "check": (
+        ["check", "S,\"q,x'y,é,D"],
+        lambda rows: _arrows(row[2:4] for row in rows),
+        lambda results: _arrows(
+            (hop["from"], hop["to"]) for hop in results["evaluations"][0]["hops"]
+        ),
+    ),
+    "rank": (
+        ["rank"],
+        lambda rows: [row[1] for row in rows],
+        lambda results: _arrows(record["path"] for record in results["paths"]),
+    ),
+    "route": (
+        ["route"],
+        lambda rows: _arrows(row[1:3] for row in rows),
+        lambda results: _arrows((step["from"], step["to"]) for step in results["steps"]),
+    ),
+    "enumerate": (
+        ["enumerate"],
+        lambda rows: [row[1] for row in rows],
+        lambda results: _arrows(record["path"] for record in results["paths"]),
+    ),
+    "simulate": (
+        ["simulate", "--packets", "5"],
+        lambda rows: [row[1] for row in rows if row[0] == "route"],
+        lambda results: _arrows(use["path"] for use in results["route_usage"]),
+    ),
+}
+
+
+@pytest.mark.parametrize("command", list(_ID_READERS))
+def test_ids_that_csv_quotes_read_back_unchanged(command, tmp_path, capsys):
+    document = tmp_path / "quoted.trust"
+    document.write_text(_QUOTED_IDS, encoding="utf-8")
+    argv, from_csv, from_json = _ID_READERS[command]
+    outputs = {
+        fmt: run_cli(capsys, *argv, "-t", str(document), "--format", fmt)
+        for fmt in ("text", "csv", "json")
+    }
+    assert {code for code, _, _ in outputs.values()} == {0}
+    text, csv_out, json_out = (out for _, out, _ in outputs.values())
+    assert '""q' in csv_out  # the cell is quoted and its '"' doubled
+    named = from_json(json.loads(json_out)["results"])
+    assert {node for ids in named for node in ids.split(ARROW)} >= {'"q', "x'y", "é"}
+    assert from_csv(list(csv.reader(io.StringIO(csv_out)))[1:]) == named
+    assert all(ids in text for ids in named)
 
 
 def _start_up_imports(*names: str) -> list[str]:
