@@ -104,17 +104,11 @@ def make_pair(
     check but still range-checks both components.
     """
     if untrust is None:
-        # Checked once here: 1.0 - trust is then in [0, 1] and never -0.0, so
+        # _unit checks trust once: 1.0 - trust is then in [0, 1] and never -0.0, so
         # the pair is built without __init__ checking both again.
-        try:
-            number = float(trust)
-        except (TypeError, ValueError, OverflowError):
-            number = math.nan
-        # _unit's range test and -0.0 fix-up, inlined: change the two together.
-        if not 0.0 <= number <= 1.0:  # also nan: _unit raises with its message
-            number = _unit(trust, "trust component")
+        number = _unit(trust, "trust component")
         pair = object.__new__(TrustPair)
-        _set_trust(pair, number + 0.0)  # -0.0 + 0.0 is 0.0
+        _set_trust(pair, number)
         _set_untrust(pair, 1.0 - number)
         return pair
     pair = TrustPair(trust, untrust)

@@ -137,24 +137,23 @@ def most_likely_route(
 ) -> RouteResult:
     """Walk greedily from source toward destination.
 
-    At each node the walk takes, among the unvisited successors whose
+    At each node the walk takes, among the successors off its path whose
     edge gets an ACCEPTABLE verdict, the one with the highest edge trust;
     ties break by node declaration order. The trust test runs best-first,
-    over the node's successors_by_trust order minus visited nodes, and
+    over the node's successors_by_trust order minus walked nodes, and
     stops at the first pass: the result equals testing every candidate. The
     first hop starts from full trust, later hops arrive with the pair of
     the edge just taken. There is no backtracking: a node with no
-    acceptable unvisited successor ends the walk with reached=False,
+    acceptable successor off the path ends the walk with reached=False,
     which is a result, not an error.
     """
     current = topology.source
     arrival = FULL_TRUST
-    visited = {current}
-    path = [current]
+    path = {current: None}  # the walked nodes, in walk order
     steps: list[RouteStep] = []
     while current != topology.destination:
         for candidate, edge in topology.successors_by_trust(current):
-            if candidate in visited:
+            if candidate in path:
                 continue
             hop = propagate_trust_hop(arrival, edge, constants)
             if hop.verdict is Verdict.ACCEPTABLE:
@@ -162,8 +161,7 @@ def most_likely_route(
         else:
             return RouteResult(tuple(path), tuple(steps), False)
         steps.append(RouteStep(current, candidate, edge, hop))
-        path.append(candidate)
-        visited.add(candidate)
+        path[candidate] = None
         arrival = edge
         current = candidate
     return RouteResult(tuple(path), tuple(steps), True)

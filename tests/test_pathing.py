@@ -581,6 +581,31 @@ def test_route_dead_end_tests_each_candidate_once(monkeypatch):
     ]
 
 
+def test_route_never_steps_back_onto_its_path(monkeypatch):
+    # At a and at b the most trusted exits lead back to walked nodes.
+    pairs = {
+        ("S", "a"): make_pair(0.9),
+        ("a", "S"): make_pair(1.0),
+        ("a", "b"): make_pair(0.8),
+        ("b", "a"): make_pair(1.0),
+        ("b", "S"): make_pair(1.0),
+        ("b", "D"): make_pair(0.6),
+    }
+    tested = _count_hop_tests(monkeypatch)
+    route = most_likely_route(Topology(["S", "a", "b", "D"], pairs, "S", "D"))
+    assert route.reached
+    assert route.path == ("S", "a", "b", "D")
+    assert len(tested) == 3  # walked nodes are skipped, never tested
+
+    del pairs[("b", "D")]
+    tested.clear()
+    route = most_likely_route(Topology(["S", "a", "b", "D"], pairs, "S", "D"))
+    assert not route.reached
+    assert route.stuck_node == "b"
+    assert route.path == ("S", "a", "b")
+    assert len(tested) == 2
+
+
 def test_route_first_hop_is_argmax_of_acceptable_source_edges():
     rng = random.Random(17)
     for _ in range(30):
