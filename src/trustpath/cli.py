@@ -181,10 +181,6 @@ def _json(value, indent: str = "", quote=None) -> str:
         return quote(value)
     if value is None:
         return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
     kind = type(value)
     if kind is int:
         return repr(value)
@@ -192,6 +188,8 @@ def _json(value, indent: str = "", quote=None) -> str:
         if not math.isfinite(value):
             raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
         return repr(value)
+    if kind is bool:
+        return "true" if value else "false"
     inner = indent + "  "
     if kind is dict:
         if not value:
@@ -218,42 +216,35 @@ def _cmd_check(args: argparse.Namespace) -> int:
     if any(not node for node in nodes):
         raise PathError(f"empty node id in path spec {args.path_spec!r}")
     modes = ("trust", "untrust") if args.mode == "both" else (args.mode,)
-    evaluations = [
-        evaluate_path(topology, nodes, args.constants, mode, args.chaining) for mode in modes
-    ]
-    confidential = all(evaluation.confidential for evaluation in evaluations)
-    tables = [
-        (
-            evaluation,
-            [
-                (number, *nodes[number - 1 : number + 1], trust, untrust, str(verdict))
-                for number, (trust, untrust, verdict) in enumerate(evaluation.hops, start=1)
-            ],
-        )
-        for evaluation in evaluations
-    ]
+    tables = []  # one (mode, confidential, rows) table per mode
+    for mode in modes:
+        evaluation = evaluate_path(topology, nodes, args.constants, mode, args.chaining)
+        rows = [
+            (number, *nodes[number - 1 : number + 1], trust, untrust, str(verdict))
+            for number, (trust, untrust, verdict) in enumerate(evaluation.hops, start=1)
+        ]
+        tables.append((mode, evaluation.confidential, rows))
+    confidential = all(passed for _, passed, _ in tables)
 
     if args.format == "text":
         lines = []
-        for evaluation, rows in tables:
-            lines += [f"path {ARROW.join(nodes)}", f"mode {evaluation.mode.value}"]
+        for mode, passed, rows in tables:
+            lines += [f"path {ARROW.join(nodes)}", f"mode {mode}"]
             lines.extend(_step_lines(_HOP_HEADER, rows, args.decimals))
-            lines.append(f"confidential {'yes' if evaluation.confidential else 'no'}")
+            lines.append(f"confidential {'yes' if passed else 'no'}")
         print("\n".join(lines))
     elif args.format == "csv":
-        _write_csv(
-            ("mode", *_HOP_HEADER),
-            ((evaluation.mode.value, *row) for evaluation, rows in tables for row in rows),
-        )
+        cells = ((mode, *row) for mode, _, rows in tables for row in rows)
+        _write_csv(("mode", *_HOP_HEADER), cells)
     else:
         records = [
             {
-                "mode": evaluation.mode.value,
+                "mode": mode,
                 "path": nodes,
-                "confidential": evaluation.confidential,
+                "confidential": passed,
                 "hops": [dict(zip(_HOP_HEADER, row)) for row in rows],
             }
-            for evaluation, rows in tables
+            for mode, passed, rows in tables
         ]
         results = {"confidential": confidential, "evaluations": records}
         _write_json(args, results, path=nodes, mode=args.mode)

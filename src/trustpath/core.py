@@ -52,7 +52,9 @@ class TrustPair:
 
     Direct construction checks only the component ranges, which permits
     deliberately non-complementary pairs; use :func:`make_pair` to also
-    enforce that the components sum to one.
+    enforce that the components sum to one. It is a slotted class, not a
+    named tuple: the path-mean and hop-test loops read its fields, and on
+    Python 3.11 and 3.12 a slot read is faster than a named tuple's.
     """
 
     __slots__ = ("trust", "untrust")

@@ -578,6 +578,30 @@ def test_closed_stdout_writes_nothing_and_keeps_the_exit_code(
     assert capsys.readouterr() == ("", "")
 
 
+class _WriteLog:
+    """A stdout that keeps each write call's text, in order."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_a_document_reaches_stdout_in_one_write(command, fmt, demo_file, monkeypatch):
+    # print writes its end separately: a lone "\n", or "" under end="".
+    log = _WriteLog()
+    monkeypatch.setattr("sys.stdout", log)
+    both = ["--mode", "both"] if command == "check" else []
+    assert main([*_INVOCATIONS[command], *both, "-t", demo_file, "--format", fmt]) == 0
+    document, *rest = [text for text in log.writes if text]
+    assert rest in ([], ["\n"])
+    assert "\n" in document.rstrip("\n")  # several lines, all in that one write
+
+
 @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
 @pytest.mark.parametrize("command", list(cli._COMMANDS))
 def test_formats_format_only_what_they_write(command, fmt, demo_file, capsys, monkeypatch):
