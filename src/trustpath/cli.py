@@ -40,16 +40,8 @@ _CONSTANT_FLAGS = (
 )
 
 
-class _Parser(argparse.ArgumentParser):
-    """ArgumentParser whose usage errors exit 1, keeping 2 for domain results."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_INPUT_ERROR, f"{self.prog}: error: {message}\n")
-
-
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
+    parser = argparse.ArgumentParser(
         prog="trustpath",
         description="Evaluate, rank, route and simulate over trust-weighted topologies.",
         allow_abbrev=False,
@@ -417,8 +409,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse --help (0) or _Parser.error (EXIT_INPUT_ERROR)
-        return exc.code
+    except SystemExit as exc:  # argparse --help (0) or a usage error (2, kept for domain results)
+        return EXIT_INPUT_ERROR if exc.code else EXIT_OK
     gc_enabled = gc.isenabled()
     try:
         args.constants = ModelConstants._make(getattr(args, n) for n in ModelConstants._fields)

@@ -32,6 +32,9 @@ DEAD_END = (
     "edge S a 0.05 0.95\nedge a D 1 0\n"
 )
 
+# The directory a spawned interpreter imports trustpath from (PYTHONPATH).
+SRC = os.path.dirname(os.path.dirname(cli.__file__))
+
 
 @pytest.fixture()
 def dead_end_file(tmp_path):
@@ -398,6 +401,32 @@ def test_help_exits_zero(capsys):
     assert "COMMAND" in captured.out
 
 
+def test_module_process_exit_codes():
+    # `python -m trustpath` runs __main__.py, which passes main()'s code to sys.exit;
+    # argparse's own usage-error exit (2) must reach the shell as 1.
+    def run(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "trustpath", *argv],
+            env={**os.environ, "PYTHONPATH": SRC},
+            stdin=subprocess.DEVNULL,
+            capture_output=True,
+            text=True,
+        )
+
+    bare = run()
+    assert (bare.returncode, bare.stdout) == (1, "")
+    assert bare.stderr.startswith("usage: trustpath")
+    assert bare.stderr.endswith(
+        "trustpath: error: the following arguments are required: COMMAND\n"
+    )
+    typo = run("route", "--decimals", "x")
+    assert typo.returncode == 1
+    assert typo.stderr.endswith(
+        "trustpath route: error: argument --decimals: invalid int value: 'x'\n"
+    )
+    assert run("--help").returncode == 0
+
+
 def test_command_table_and_parser_agree(capsys, monkeypatch):
     # Content, not layout: whitespace is collapsed and the width fixed, so a
     # Python version that lays help out differently still passes.
@@ -689,10 +718,9 @@ def _start_up_imports(*names: str) -> list[str]:
         "import sys; before = set(sys.modules); import trustpath.cli; "
         f"print(*sorted(set({names!r}) & (set(sys.modules) - before)))"
     )
-    src = os.path.dirname(os.path.dirname(cli.__file__))
     result = subprocess.run(
         [sys.executable, "-S", "-c", script],
-        env={**os.environ, "PYTHONPATH": src},
+        env={**os.environ, "PYTHONPATH": SRC},
         capture_output=True,
         text=True,
         check=True,
