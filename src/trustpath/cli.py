@@ -184,13 +184,9 @@ def _json(value, indent: str = "", quote=None) -> str:
         return "true" if value else "false"
     inner = indent + "  "
     if kind is dict:
-        if not value:
-            return "{}"
         items = [f"{quote(key)}: {_json(item, inner, quote)}" for key, item in value.items()]
         opening, closing = "{", "}"
     elif kind is list or kind is tuple:
-        if not value:
-            return "[]"
         try:  # a node sequence: all its items quoted in one C-level pass
             items = list(map(quote, value))
         except TypeError:  # an item that is not a str
@@ -198,6 +194,8 @@ def _json(value, indent: str = "", quote=None) -> str:
         opening, closing = "[", "]"
     else:
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+    if not items:
+        return opening + closing
     separator = ",\n" + inner
     return f"{opening}\n{inner}{separator.join(items)}\n{indent}{closing}"
 

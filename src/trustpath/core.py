@@ -154,10 +154,9 @@ def display_round(value: float, decimals: int) -> str:
         value = math.inf if value > 0 else -math.inf
     except (TypeError, ValueError):
         raise TrustValueError(f"cannot display {value!r}: not a number") from None
-    if value < 0.0:
-        raise TrustValueError(f"cannot display negative value {value!r}")
-    if not math.isfinite(value):
-        raise TrustValueError(f"cannot display non-finite value {value!r}")
+    if not 0.0 <= value < math.inf:
+        problem = "negative" if value < 0.0 else "non-finite"
+        raise TrustValueError(f"cannot display {problem} value {value!r}")
     digits = repr(value)
     if "e" in digits:  # 1e+16, 5e-324: Decimal writes the same value in plain notation
         from decimal import Decimal  # here, not at start-up: few values take this branch

@@ -71,20 +71,19 @@ class Topology:
         self.destination = destination
 
         self._pairs: dict[tuple[str, str], TrustPair] = {}
-        order, pairs = self._order, self._pairs
         for key, pair in edges.items() if isinstance(edges, Mapping) else edges:
             src, dst = key = tuple(key)  # a tuple key is stored itself, not a copy of it
-            if src not in order:  # the source is named first when both are undeclared
+            if src not in self._order:  # the source is named first when both are undeclared
                 raise TopologyError(f"edge endpoint {src!r} is not a declared node")
-            if dst not in order:
+            if dst not in self._order:
                 raise TopologyError(f"edge endpoint {dst!r} is not a declared node")
             if src == dst:
                 raise TopologyError(f"self-loop on {src!r} is not allowed")
-            if key in pairs:
+            if key in self._pairs:
                 raise TopologyError(f"duplicate edge {src} -> {dst}")
             if not isinstance(pair, TrustPair):
                 raise TopologyError(f"edge {src} -> {dst} value {pair!r} is not a TrustPair")
-            pairs[key] = pair
+            self._pairs[key] = pair
 
         successors: dict[str, list[str]] = {node: [] for node in self.nodes}
         for src, dst in self._pairs:

@@ -13,7 +13,7 @@ import sys
 from enum import IntEnum
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import chain_topology, run_cli
@@ -769,6 +769,10 @@ _JSON_DOCUMENTS = st.recursive(
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(document=_JSON_DOCUMENTS)
+@example(document=[])
+@example(document=())
+@example(document={})
+@example(document={"a": [], "b": {}})
 def test_json_writer_matches_json_dumps(document):
     assert cli._json(document) == json.dumps(document, indent=2, allow_nan=False)
 

@@ -235,6 +235,8 @@ def test_display_round_renders_every_finite_value():
 def test_display_round_rejects_bad_input():
     with pytest.raises(TrustValueError):
         display_round(-0.5, 2)
+    with pytest.raises(TrustValueError, match=r"^cannot display non-finite value nan$"):
+        display_round(math.nan, 2)
     with pytest.raises(TrustValueError, match=r"^cannot display 'x': not a number$"):
         display_round("x", 2)
     with pytest.raises(TrustValueError, match=r"^cannot display None: not a number$"):
@@ -252,10 +254,18 @@ def test_display_round_rejects_bad_input():
     value=st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
     decimals=st.integers(min_value=0, max_value=12),
 )
+@example(value=0.0, decimals=12)
+@example(value=1.0, decimals=12)
+@example(value=5e-324, decimals=12)
+@example(value=1e-5, decimals=3)
+@example(value=0.999999999999999, decimals=12)
 def test_display_round_parses_back_at_or_below(value, decimals):
-    shown = float(display_round(value, decimals))
+    text = display_round(value, decimals)
+    shown = float(text)
     assert shown <= value
     assert value - shown < 10.0 ** (-decimals) + 1e-15
+    # The width rule that a table writer may rely on: a value in [0, 1] takes a fixed width.
+    assert len(text) == (decimals + 2 if decimals else 1)
 
 
 @given(

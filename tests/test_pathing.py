@@ -287,16 +287,20 @@ def test_rank_order_matches_independent_sort():
         topology = random_dag(rng)
         paths = enumerate_paths(topology)
 
-        def mean(values):
-            return sum(values) / len(values)
+        def mean(values):  # left to right, as trustpath adds; sum() compensates from 3.12 on
+            total = 0.0
+            for value in values:
+                total += value
+            return total / len(values)
 
-        def key(index):
-            path = paths[index]
+        def entry(path):
             edges = [topology.edge(a, b) for a, b in zip(path, path[1:])]
-            return (-mean([e.trust for e in edges]), mean([e.untrust for e in edges]), index)
+            return path, mean([e.trust for e in edges]), mean([e.untrust for e in edges])
 
-        expected = [paths[index] for index in sorted(range(len(paths)), key=key)]
-        assert [entry.path for entry in rank_paths(topology)[1]] == expected
+        # A stable sort: ties keep enumeration order.
+        expected = sorted(map(entry, paths), key=lambda e: (-e[1], e[2]))
+        ranked = [(e.path, e.mean_trust, e.mean_untrust) for e in rank_paths(topology)[1]]
+        assert ranked == expected  # the means bit for bit
 
 
 def test_rank_ties_break_by_untrust_then_enumeration_order():

@@ -1,11 +1,15 @@
 """Deterministic packet-forwarding simulation."""
 
 import random
+from collections import Counter
 
 import pytest
 
-from helpers import random_dag
+from helpers import random_dag, random_topology
 from trustpath import (
+    DEFAULT_CONSTANTS,
+    ModelConstants,
+    SimReport,
     Topology,
     evaluate_path,
     make_pair,
@@ -40,20 +44,36 @@ def test_report_scales_linearly(demo_topology):
     assert batch.drop_points == {node: 100 * n for node, n in single.drop_points.items()}
 
 
-def test_usage_matches_single_walk_replay():
-    rng = random.Random(67)
-    for _ in range(20):
-        topology = random_dag(rng)
-        report = simulate(topology, 7)
-        route = most_likely_route(topology)
+def _replay(topology, packets, constants):
+    """The report of `packets` independent most_likely_route walks, tallied one by one."""
+    usage, drops = Counter(), Counter()
+    for _ in range(packets):
+        route = most_likely_route(topology, constants)
         if route.reached:
-            assert report.route_usage == {route.path: 7}
-            assert report.drop_points == {}
-            assert (report.delivered, report.dropped) == (7, 0)
+            usage[route.path] += 1
         else:
-            assert report.route_usage == {}
-            assert report.drop_points == {route.path[-1]: 7}
-            assert (report.delivered, report.dropped) == (0, 7)
+            drops[route.stuck_node] += 1
+    delivered = sum(usage.values())
+    return SimReport(packets, delivered, packets - delivered, dict(usage), dict(drops))
+
+
+def test_usage_matches_single_walk_replay():
+    # Acyclic graphs at the default constants, then cyclic ones whose pairs need not be
+    # complementary, each under its own constants.
+    dags = random.Random(67)
+    cases = [(random_dag(dags), DEFAULT_CONSTANTS) for _ in range(20)]
+    rng = random.Random(71)
+    for _ in range(200):
+        topology = random_topology(rng)
+        cases.append((topology, ModelConstants(*(rng.randint(0, 100) / 100 for _ in range(6)))))
+    outcomes = Counter()
+    for topology, constants in cases:
+        for packets in range(1, 8):
+            assert simulate(topology, packets, constants) == _replay(topology, packets, constants)
+        route = most_likely_route(topology, constants)
+        outcomes["arrived" if route.reached else "stalled", len(route.path) > 1] += 1
+    # Both outcomes occur, and some walks stall past the source.
+    assert outcomes["arrived", True] and outcomes["stalled", False] and outcomes["stalled", True]
 
 
 def test_delivered_route_is_confidential(demo_topology):
