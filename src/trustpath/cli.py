@@ -140,22 +140,22 @@ def _step_lines(header, rows, decimals: int):
         yield f"{kind} {number} {src}{ARROW}{dst} {shown} {verdict}"
 
 
-def _write_csv(header, rows) -> None:
-    """Write rows as one CSV document in one write; None is an empty cell."""
+def _csv_document(header, rows) -> str:
+    """Rows as one CSV document; None is an empty cell."""
     import csv  # here, not at start-up: only CSV output needs it
 
     document = io.StringIO()
     writer = csv.writer(document, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-    print(document.getvalue(), end="")  # print skips a closed (None) stdout
+    return document.getvalue()
 
 
-def _write_json(args: argparse.Namespace, results: dict, **inputs) -> None:
-    """Write a command's JSON document; inputs are its own inputs, after the global ones."""
+def _json_document(args: argparse.Namespace, results: dict, **inputs) -> str:
+    """A command's JSON document; inputs are its own inputs, after the global ones."""
     base = {name: getattr(args, name) for name in ("topology", "strict", "chaining", "cap")}
     inputs = {**base, "constants": args.constants._asdict(), **inputs}
-    print(_json({"command": args.command, "inputs": inputs, "results": results}))
+    return _json({"command": args.command, "inputs": inputs, "results": results}) + "\n"
 
 
 def _json(value, indent: str = "", quote=None) -> str:
@@ -200,7 +200,24 @@ def _json(value, indent: str = "", quote=None) -> str:
     return f"{opening}\n{inner}{separator.join(items)}\n{indent}{closing}"
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
+def _write(document: str) -> None:
+    """Write a document to stdout whole; bytes, as under python -u a text write can lose a part."""
+    out = sys.stdout
+    if out is None:  # started with stdout closed
+        return
+    if not hasattr(out, "buffer"):  # a text-only stream, as under redirect_stdout(StringIO())
+        out.write(document)
+        return
+    out.flush()
+    data = memoryview(document.encode(out.encoding, out.errors))
+    while data:
+        if not (taken := out.buffer.write(data)):  # 0, or None: a non-blocking stdout would block
+            raise OSError(f"stdout took none of the last {len(data)} bytes")
+        data = data[taken:]
+    out.buffer.flush()
+
+
+def _cmd_check(args: argparse.Namespace) -> tuple[int, str]:
     topology = _load_topology(args)
     nodes = tuple(token.strip() for token in args.path_spec.split(","))
     if any(not node for node in nodes):
@@ -222,10 +239,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
             lines += [f"path {ARROW.join(nodes)}", f"mode {mode}"]
             lines.extend(_step_lines(_HOP_HEADER, rows, args.decimals))
             lines.append(f"confidential {'yes' if passed else 'no'}")
-        print("\n".join(lines))
+        document = "\n".join(lines) + "\n"
     elif args.format == "csv":
         cells = ((mode, *row) for mode, _, rows in tables for row in rows)
-        _write_csv(("mode", *_HOP_HEADER), cells)
+        document = _csv_document(("mode", *_HOP_HEADER), cells)
     else:
         records = [
             {
@@ -237,11 +254,11 @@ def _cmd_check(args: argparse.Namespace) -> int:
             for mode, passed, rows in tables
         ]
         results = {"confidential": confidential, "evaluations": records}
-        _write_json(args, results, path=nodes, mode=args.mode)
-    return EXIT_OK if confidential else EXIT_NEGATIVE
+        document = _json_document(args, results, path=nodes, mode=args.mode)
+    return (EXIT_OK if confidential else EXIT_NEGATIVE), document
 
 
-def _cmd_rank(args: argparse.Namespace) -> int:
+def _cmd_rank(args: argparse.Namespace) -> tuple[int, str]:
     if args.top is not None and args.top < 1:
         raise TrustValueError(f"--top must be >= 1, got {args.top}")
     topology = _load_topology(args)
@@ -268,16 +285,16 @@ def _cmd_rank(args: argparse.Namespace) -> int:
         ]
         widths = [max(map(len, column)) for column in zip(header, *cells)]
         lines = ("  ".join(map(str.ljust, row, widths)).rstrip() for row in (header, *cells))
-        print("\n".join(lines))
+        document = "\n".join(lines) + "\n"
     elif args.format == "csv":
-        _write_csv(header, rows)
+        document = _csv_document(header, rows)
     else:
         records = [dict(zip(header, row)) for row in rows]
-        _write_json(args, {"count": count, "paths": records}, top=args.top)
-    return EXIT_OK
+        document = _json_document(args, {"count": count, "paths": records}, top=args.top)
+    return EXIT_OK, document
 
 
-def _cmd_route(args: argparse.Namespace) -> int:
+def _cmd_route(args: argparse.Namespace) -> tuple[int, str]:
     topology = _load_topology(args)
     route = most_likely_route(topology, args.constants)
     mean_trust = path_mean_trust(topology, route.path) if route.reached else None
@@ -295,9 +312,9 @@ def _cmd_route(args: argparse.Namespace) -> int:
             lines.append(f"mean_trust {display_round(mean_trust, decimals)}")
         else:
             lines.append(f"stuck {route.stuck_node}")
-        print("\n".join(lines))
+        document = "\n".join(lines) + "\n"
     elif args.format == "csv":
-        _write_csv((*_STEP_HEADER, "mean_trust"), ((*row, mean_trust) for row in rows))
+        document = _csv_document((*_STEP_HEADER, "mean_trust"), ((*r, mean_trust) for r in rows))
     else:
         results = {
             "reached": route.reached,
@@ -306,22 +323,22 @@ def _cmd_route(args: argparse.Namespace) -> int:
             "mean_trust": mean_trust,
             "steps": [dict(zip(_STEP_HEADER, row)) for row in rows],
         }
-        _write_json(args, results)
-    return EXIT_OK if route.reached else EXIT_NEGATIVE
+        document = _json_document(args, results)
+    return (EXIT_OK if route.reached else EXIT_NEGATIVE), document
 
 
-def _cmd_enumerate(args: argparse.Namespace) -> int:
+def _cmd_enumerate(args: argparse.Namespace) -> tuple[int, str]:
     topology = _load_topology(args)
     paths = enumerate_paths(topology, args.cap)
     if args.format == "text":
         numbered = enumerate(paths, start=1)
-        print("".join(f"{index} {ARROW.join(path)}\n" for index, path in numbered), end="")
+        document = "".join(f"{index} {ARROW.join(path)}\n" for index, path in numbered)
     elif args.format == "csv":
-        _write_csv(("index", "path"), enumerate(map(ARROW.join, paths), start=1))
+        document = _csv_document(("index", "path"), enumerate(map(ARROW.join, paths), start=1))
     else:
         records = [{"index": index, "path": path} for index, path in enumerate(paths, start=1)]
-        _write_json(args, {"count": len(paths), "paths": records})
-    return EXIT_OK
+        document = _json_document(args, {"count": len(paths), "paths": records})
+    return EXIT_OK, document
 
 
 _FIXTURE_HEADER = (
@@ -331,13 +348,12 @@ _FIXTURE_HEADER = (
 )
 
 
-def _cmd_fixture(args: argparse.Namespace) -> int:
+def _cmd_fixture(args: argparse.Namespace) -> tuple[int, str]:
     # Always emits the topology document itself, whatever --format says.
-    print(_FIXTURE_HEADER + serialize_topology(fixture_topology()), end="")
-    return EXIT_OK
+    return EXIT_OK, _FIXTURE_HEADER + serialize_topology(fixture_topology())
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
+def _cmd_simulate(args: argparse.Namespace) -> tuple[int, str]:
     topology = _load_topology(args)
     report = simulate(topology, args.packets, args.constants)
     rows = [(name, "", getattr(report, name)) for name in ("packets_sent", "delivered", "dropped")]
@@ -349,16 +365,16 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             f"{metric} {value}" if key == "" else f"{metric} {key} packets={value}"
             for metric, key, value in rows
         ]
-        print("\n".join(lines))
+        document = "\n".join(lines) + "\n"
     elif args.format == "csv":
-        _write_csv(("metric", "key", "value"), rows)
+        document = _csv_document(("metric", "key", "value"), rows)
     else:
         results = report._replace(  # its two dicts as lists of records
             route_usage=[{"path": p, "packets": n} for p, n in report.route_usage.items()],
             drop_points=[{"node": d, "packets": n} for d, n in report.drop_points.items()],
         )._asdict()
-        _write_json(args, results, packets=args.packets)
-    return EXIT_OK
+        document = _json_document(args, results, packets=args.packets)
+    return EXIT_OK, document
 
 
 # Each command's handler, its one-line help and its --help description, in listing order.
@@ -420,7 +436,9 @@ def main(argv: list[str] | None = None) -> int:
         # it, and each collector pass would only rescan the live topology.
         gc.disable()
         handler, _, _ = _COMMANDS[args.command]
-        return handler(args)
+        code, document = handler(args)
+        _write(document)
+        return code
     except PathCapExceeded as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CAP_EXCEEDED

@@ -261,16 +261,14 @@ def serialize_topology(topology: Topology) -> str:
     return "\n".join(lines) + "\n"
 
 
-def generate_mesh(
-    layer_sizes: Iterable[int], default_pair: TrustPair | None = None
-) -> Topology:
+def generate_mesh(layer_sizes: Iterable[int]) -> Topology:
     """Build a layered mesh between a source S and a destination D.
 
     Inner nodes are numbered consecutively from 1, layer by layer;
     consecutive layers (including S before the first and D after the
-    last) are fully connected. Every edge carries default_pair, the
-    indifferent pair (0.5, 0.5) when omitted. The number of simple
-    S-to-D paths equals the product of the layer sizes.
+    last) are fully connected. Every edge carries one shared indifferent
+    pair (0.5, 0.5). The number of simple S-to-D paths equals the
+    product of the layer sizes.
     """
     sizes = tuple(layer_sizes)
     if not sizes:
@@ -278,15 +276,13 @@ def generate_mesh(
     for size in sizes:
         if not isinstance(size, int) or size < 1:
             raise TopologyError(f"layer sizes must be integers >= 1, got {size!r}")
-    if default_pair is None:
-        default_pair = TrustPair(0.5, 0.5)
 
     starts = accumulate(sizes, initial=1)  # the first id of each layer
     layers = [[str(n) for n in range(start, start + size)] for start, size in zip(starts, sizes)]
     nodes = ["S", *(node for layer in layers for node in layer), "D"]
     hops = zip([["S"], *layers], [*layers, ["D"]])  # consecutive layers, fully connected
-    pairs = {(src, dst): default_pair for froms, tos in hops for src in froms for dst in tos}
-    return Topology(nodes, pairs, "S", "D")
+    edges = ((src, dst) for froms, tos in hops for src in froms for dst in tos)
+    return Topology(nodes, dict.fromkeys(edges, TrustPair(0.5, 0.5)), "S", "D")
 
 
 #: Reference trust pairs of the demo mesh; all other edges are (0.5, 0.5).

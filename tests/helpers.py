@@ -3,7 +3,7 @@
 import random
 from itertools import permutations
 
-from trustpath import Topology, TrustPair, make_pair
+from trustpath import Topology, TrustPair, generate_mesh, make_pair
 
 
 def random_dag(rng: random.Random, max_nodes: int = 8) -> Topology:
@@ -45,6 +45,12 @@ def chain_topology(hops: int, trust: float) -> Topology:
     nodes = [f"n{i}" for i in range(hops + 1)]
     pairs = {(src, dst): make_pair(trust) for src, dst in zip(nodes, nodes[1:])}
     return Topology(nodes, pairs, nodes[0], nodes[-1])
+
+
+def mesh_on_pair(layer_sizes, pair: TrustPair) -> Topology:
+    """generate_mesh's layered mesh with every edge on the given pair."""
+    mesh = generate_mesh(layer_sizes)
+    return Topology(mesh.nodes, dict.fromkeys(mesh.edge_pairs(), pair), "S", "D")
 
 
 def brute_force_paths(topology: Topology) -> list[tuple[str, ...]]:

@@ -13,7 +13,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from helpers import brute_force_paths, random_dag, random_topology, run_cli
+from helpers import brute_force_paths, mesh_on_pair, random_dag, random_topology, run_cli
 from trustpath import (
     Chaining,
     DEFAULT_CONSTANTS,
@@ -152,7 +152,7 @@ def test_criterion_7b_means_are_complementary(demo_topology, announce):
             topologies.append(random_dag(rng))
         for _ in range(3):
             sizes = tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 3)))
-            topologies.append(generate_mesh(sizes, make_pair(rng.randint(0, 100) / 100)))
+            topologies.append(mesh_on_pair(sizes, make_pair(rng.randint(0, 100) / 100)))
         checked = 0
         for topology in topologies:
             for path in enumerate_paths(topology):

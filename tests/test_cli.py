@@ -20,6 +20,7 @@ from helpers import chain_topology, run_cli
 from trustpath import (
     display_round,
     fixture_topology,
+    generate_mesh,
     parse_topology,
     rank_paths,
     serialize_topology,
@@ -621,14 +622,92 @@ class _WriteLog:
 @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
 @pytest.mark.parametrize("command", list(cli._COMMANDS))
 def test_a_document_reaches_stdout_in_one_write(command, fmt, demo_file, monkeypatch):
-    # print writes its end separately: a lone "\n", or "" under end="".
     log = _WriteLog()
     monkeypatch.setattr("sys.stdout", log)
     both = ["--mode", "both"] if command == "check" else []
     assert main([*_INVOCATIONS[command], *both, "-t", demo_file, "--format", fmt]) == 0
     document, *rest = [text for text in log.writes if text]
-    assert rest in ([], ["\n"])
+    assert rest == []
     assert "\n" in document.rstrip("\n")  # several lines, all in that one write
+
+
+class _ShortPipe(io.RawIOBase):
+    """A pipe whose reader takes 10 bytes of the first write and goes away.
+
+    Later writes raise BrokenPipeError, or return None as a non-blocking
+    pipe that would block does. An empty write returns 0, as on a Linux pipe.
+    """
+
+    def __init__(self, blocks):
+        self.taken, self.blocks = b"", blocks
+
+    def writable(self):
+        return True
+
+    def write(self, data):
+        if not data:
+            return 0
+        if self.taken:
+            if self.blocks:
+                return None
+            raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+        self.taken = bytes(data[:10])
+        return len(self.taken)
+
+
+@pytest.mark.parametrize("blocks", [False, True])
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_a_short_write_is_one_error_line(command, fmt, blocks, demo_file, capsys, monkeypatch):
+    argv = [*_INVOCATIONS[command], "-t", demo_file, "--format", fmt]
+    main(argv)
+    document = capsys.readouterr().out.encode("utf-8")
+    pipe = _ShortPipe(blocks)
+    # stdout as under `python -u`: a text layer straight over the raw pipe
+    monkeypatch.setattr("sys.stdout", io.TextIOWrapper(pipe, encoding="utf-8", write_through=True))
+    code = main(argv)
+    monkeypatch.undo()
+    err = capsys.readouterr().err
+    assert (code, err.count("\n"), err[:7], err[-1:]) == (1, 1, "error: ", "\n")
+    assert pipe.taken == document[:10]
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_a_reader_that_goes_away_ends_the_process_with_one_error_line(unbuffered, tmp_path):
+    # About 300 KB of text: more than a pipe holds, so the writer is still writing.
+    mesh = tmp_path / "mesh.trust"
+    mesh.write_text(serialize_topology(generate_mesh((10,) * 4)), encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": SRC}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    process = subprocess.Popen(
+        [sys.executable, "-m", "trustpath", "enumerate", "-t", str(mesh)],
+        env=env,
+        stdin=subprocess.DEVNULL,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert process.stdout.read(10) == "1 S→1→".encode("utf-8")
+    process.stdout.close()  # as `head -c 10` does
+    _, err = process.communicate(timeout=60)
+    assert (process.returncode, err) == (1, b"error: [Errno 32] Broken pipe\n")
+
+
+def test_an_unencodable_document_is_one_error_line(demo_file):
+    routed = subprocess.run(
+        [sys.executable, "-m", "trustpath", "route", "-t", demo_file],
+        env={**os.environ, "PYTHONPATH": SRC, "PYTHONIOENCODING": "ascii"},
+        stdin=subprocess.DEVNULL,
+        capture_output=True,
+        text=True,
+    )
+    assert (routed.returncode, routed.stdout, routed.stderr) == (
+        1,
+        "",
+        "error: 'ascii' codec can't encode character '\\u2192' in position 7: "
+        "ordinal not in range(128)\n",
+    )
 
 
 @pytest.mark.parametrize("fmt", ["text", "csv", "json"])

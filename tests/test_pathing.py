@@ -5,7 +5,7 @@ from math import fsum, prod
 
 import pytest
 
-from helpers import brute_force_paths, chain_topology, random_dag, random_topology
+from helpers import brute_force_paths, chain_topology, mesh_on_pair, random_dag, random_topology
 from trustpath import (
     DEFAULT_CONSTANTS,
     ModelConstants,
@@ -120,7 +120,7 @@ def test_mean_trust_reference_values(demo_topology):
 
 
 def test_mean_trust_extremes():
-    topology = generate_mesh((2, 2), make_pair(1, 0))
+    topology = mesh_on_pair((2, 2), make_pair(1, 0))
     for path in enumerate_paths(topology):
         assert path_mean_trust(topology, path) == 1.0
         assert path_mean_untrust(topology, path) == 0.0

@@ -338,7 +338,7 @@ def test_demo_fixture_round_trips_strict(demo_topology):
 
 
 def test_generate_mesh_shape():
-    topology = generate_mesh((4, 3, 4), TrustPair(0.5, 0.5))
+    topology = generate_mesh((4, 3, 4))
     assert len(topology.nodes) == 13
     assert len(topology.edge_pairs()) == 4 + 12 + 12 + 4
     assert topology.successors("S") == ("1", "2", "3", "4")
@@ -346,10 +346,11 @@ def test_generate_mesh_shape():
 
 
 def test_generate_mesh_single_layer():
-    topology = generate_mesh((1,), make_pair(1, 0))
+    topology = generate_mesh((1,))
     assert topology.nodes == ("S", "1", "D")
     assert len(topology.edge_pairs()) == 2
-    assert topology.edge("S", "1") == TrustPair(1.0, 0.0)
+    assert topology.edge("S", "1") == TrustPair(0.5, 0.5)
+    assert topology.edge("S", "1") is topology.edge("1", "D")  # one shared pair
 
 
 def test_generate_mesh_rejects_bad_sizes():
