@@ -1,6 +1,7 @@
 """Command-line interface: check, rank, route, enumerate, fixture, simulate."""
 
 import argparse
+import contextlib
 import gc
 import io
 import math
@@ -122,13 +123,16 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_topology(args: argparse.Namespace):
     if not args.topology:
         raise TopologyError("no topology given; pass --topology FILE, or '-' for stdin")
-    if args.topology == "-":
-        if sys.stdin is None:  # started with stdin closed
-            raise TopologyError("no standard input to read")
+    # Bytes, decoded as strict UTF-8 whatever the locale says, and freed before the parse.
+    if args.topology != "-":
+        with open(args.topology, "rb") as handle:
+            text = str(handle.read(), "utf-8")
+    elif sys.stdin is None:  # started with stdin closed
+        raise TopologyError("no standard input to read")
+    elif hasattr(sys.stdin, "buffer"):
+        text = str(sys.stdin.buffer.read(), "utf-8")
+    else:  # a text-only stream, as a caller's io.StringIO
         text = sys.stdin.read()
-    else:
-        with open(args.topology, "r", encoding="utf-8") as handle:
-            text = handle.read()
     return parse_topology(text, strict=args.strict)
 
 
@@ -200,18 +204,17 @@ def _json(value, indent: str = "", quote=None) -> str:
     return f"{opening}\n{inner}{separator.join(items)}\n{indent}{closing}"
 
 
-def _write(document: str) -> None:
-    """Write a document to stdout whole; bytes, as under python -u a text write can lose a part."""
-    out = sys.stdout
-    if out is None:  # started with stdout closed
+def _write(text: str, out) -> None:
+    """Write text to out whole; bytes, as under python -u a text write can lose a part."""
+    if out is None:  # started with this stream closed
         return
     if not hasattr(out, "buffer"):  # a text-only stream, as under redirect_stdout(StringIO())
-        out.write(document)
+        out.write(text)
         return
     out.flush()
-    data = memoryview(document.encode(out.encoding, out.errors))
+    data = memoryview(text.encode(out.encoding, out.errors))
     while data:
-        if not (taken := out.buffer.write(data)):  # 0, or None: a non-blocking stdout would block
+        if not (taken := out.buffer.write(data)):  # 0, or None: a non-blocking stream would block
             raise OSError(f"stdout took none of the last {len(data)} bytes")
         data = data[taken:]
     out.buffer.flush()
@@ -437,14 +440,12 @@ def main(argv: list[str] | None = None) -> int:
         gc.disable()
         handler, _, _ = _COMMANDS[args.command]
         code, document = handler(args)
-        _write(document)
+        _write(document, sys.stdout)
         return code
-    except PathCapExceeded as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_CAP_EXCEEDED
-    except (OSError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+    except (PathCapExceeded, OSError, ValueError) as err:
+        with contextlib.suppress(OSError):  # a stderr that fails: the exit code still tells
+            _write(f"error: {err}\n", sys.stderr)
+        return EXIT_CAP_EXCEEDED if isinstance(err, PathCapExceeded) else EXIT_INPUT_ERROR
     finally:
         if gc_enabled:
             gc.enable()

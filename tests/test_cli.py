@@ -238,6 +238,68 @@ def test_stdin_closed_is_one_error_line(capsys, monkeypatch):
     assert (code, out, err) == (1, "", "error: no standard input to read\n")
 
 
+# A node id made of the byte 0xff, which is not UTF-8.
+_NOT_UTF8 = b"node S\nnode \xff\nnode D\nsource S\ndest D\nedge S \xff 0.9\nedge \xff D 0.9\n"
+# The same document with the UTF-8 id "\u00e9".
+_ACCENTED = _NOT_UTF8.replace(b"\xff", "\u00e9".encode("utf-8"))
+
+
+def _from_file_and_from_stdin(tmp_path, document: bytes, io_encoding: str, *argv: str):
+    """`python -m trustpath ARGV -t FILE`, then `... -t - < FILE`, under PYTHONIOENCODING."""
+    path = tmp_path / "document.trust"
+    path.write_bytes(document)
+    env = {**os.environ, "PYTHONPATH": SRC, "PYTHONIOENCODING": io_encoding}
+    runs = []
+    for source in (str(path), "-"):
+        with open(path, "rb") as stdin:
+            command = [sys.executable, "-m", "trustpath", *argv, "-t", source]
+            runs.append(subprocess.run(command, env=env, stdin=stdin, capture_output=True))
+    return runs
+
+
+def test_a_document_that_is_not_utf8_is_the_same_error_from_stdin(tmp_path):
+    # stdin's own decoder would let 0xff through as "\udcff" and exit 0
+    runs = _from_file_and_from_stdin(tmp_path, _NOT_UTF8, "utf-8:surrogateescape", "route")
+    error = b"error: 'utf-8' codec can't decode byte 0xff in position 12: invalid start byte\n"
+    assert [(run.returncode, run.stdout, run.stderr) for run in runs] == [(1, b"", error)] * 2
+
+
+def test_node_ids_read_the_same_whatever_the_locale(tmp_path):
+    # a latin-1 stdin would read the two bytes of "\u00e9" as "\u00c3\u00a9"
+    argv = ("enumerate", "--format", "json")
+    runs = _from_file_and_from_stdin(tmp_path, _ACCENTED, "latin-1", *argv)
+    assert [run.returncode for run in runs] == [0, 0]
+    results = [json.loads(run.stdout)["results"] for run in runs]
+    assert results == [{"count": 1, "paths": [{"index": 1, "path": ["S", "\u00e9", "D"]}]}] * 2
+
+
+def test_line_ends_are_the_parsers_from_a_file_and_from_stdin(tmp_path):
+    document = b"node S\rnode a\rnode D\rsource S\rdest D\redge S a 0.9\redge a D 1.5\r"
+    runs = _from_file_and_from_stdin(tmp_path, document, "utf-8", "route")
+    assert [run.returncode for run in runs] == [1, 1]
+    assert all(run.stderr.startswith(b"error: line 7: ") for run in runs)
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_the_topology_is_utf8_and_its_bytes_are_freed_before_the_parse(
+    source, tmp_path, capsys, monkeypatch
+):
+    path = tmp_path / "accented.trust"
+    path.write_bytes(_ACCENTED)
+    # a stdin whose text layer decodes as latin-1: the bytes below it are what counts
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(_ACCENTED), encoding="latin-1"))
+    held = []
+
+    def parse(text, strict):
+        caller = sys._getframe(1).f_locals.values()
+        held.extend(value for value in caller if isinstance(value, (bytes, memoryview)))
+        return parse_topology(text, strict=strict)
+
+    monkeypatch.setattr(cli, "parse_topology", parse)
+    code, out, err = run_cli(capsys, "route", "-t", str(path) if source == "file" else "-")
+    assert (code, out.splitlines()[0], err, held) == (0, "route S\u2192\u00e9\u2192D", "", [])
+
+
 def test_simulate_text(demo_file, capsys):
     code, out, _ = run_cli(capsys, "simulate", "-t", demo_file, "--packets", "25")
     assert code == 0
@@ -604,6 +666,26 @@ def test_closed_stdout_writes_nothing_and_keeps_the_exit_code(
     assert capsys.readouterr().err == ""
     monkeypatch.setattr("sys.stdout", None)  # as under `trustpath ... >&-`
     assert main(argv) == code
+    monkeypatch.undo()
+    assert capsys.readouterr() == ("", "")
+
+
+class _FullDevice(io.StringIO):
+    """A stream whose device is full, as stderr under `2>/dev/full`."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+@pytest.mark.parametrize("stderr", [None, _FullDevice()], ids=["closed", "full"])
+@pytest.mark.parametrize(
+    ("argv", "code"), [(["enumerate", "--cap", "3"], 3), (["route", "--decimals", "13"], 1)]
+)
+def test_an_error_line_that_cannot_be_written_keeps_the_exit_code(
+    argv, code, stderr, demo_file, capsys, monkeypatch
+):
+    monkeypatch.setattr("sys.stderr", stderr)  # None as under `trustpath ... 2>&-`
+    assert main([*argv, "-t", demo_file]) == code
     monkeypatch.undo()
     assert capsys.readouterr() == ("", "")
 

@@ -2,10 +2,11 @@
 
 Random topology text on at most six nodes, random path specs and random
 argparse-valid flags, whose values may lie outside the model's domain,
-must give an exit code in {0, 1, 2, 3}, at most one line on stderr, and
-strict JSON under --format json, byte for byte as json.dumps(indent=2)
-writes it. Most draws are well-formed, so that the commands run to the
-end; a few carry one bad line or one bad value.
+must give an exit code in {0, 1, 2, 3}, one line on stderr exactly when
+the code is 1 or 3 and nothing on stdout then, and strict JSON under
+--format json, byte for byte as json.dumps(indent=2) writes it. Most
+draws are well-formed, so that the commands run to the end; a few carry
+one bad line or one bad value.
 """
 
 import io
@@ -112,6 +113,8 @@ def test_every_invocation_ends_cleanly(case):
     assert code in (0, 1, 2, 3)
     message = err.getvalue()
     assert message == "" or (message.count("\n") == 1 and message.endswith("\n"))
+    assert (message == "") == (code in (0, 2))
+    assert code in (0, 2) or out.getvalue() == ""
     fmt = argv[argv.index("--format") + 1]
     if fmt == "json" and code in (0, 2) and argv[0] != "fixture":  # fixture ignores --format
         document = json.loads(out.getvalue(), parse_constant=_refuse)
