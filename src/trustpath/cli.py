@@ -130,7 +130,18 @@ def _load_topology(args: argparse.Namespace):
     elif sys.stdin is None:  # started with stdin closed
         raise TopologyError("no standard input to read")
     elif hasattr(sys.stdin, "buffer"):
-        text = str(sys.stdin.buffer.read(), "utf-8")
+        chunks = []  # a non-blocking stdin gives what has come so far, or None for nothing yet
+        while (chunk := sys.stdin.buffer.read()) != b"":  # b"" only at end of file
+            if chunk is None:
+                import select  # here, not at start-up: only a non-blocking stdin needs it
+
+                select.select([sys.stdin], [], [])  # wait for more; O_NONBLOCK stays as it is
+                continue
+            chunks.append(chunk)
+            if sys.stdin.isatty():  # a terminal's read ends at its end-of-file key, once
+                break
+        text = str(b"".join(chunks), "utf-8")  # one chunk is joined without a copy
+        del chunks, chunk
     else:  # a text-only stream, as a caller's io.StringIO
         text = sys.stdin.read()
     return parse_topology(text, strict=args.strict)
@@ -205,19 +216,19 @@ def _json(value, indent: str = "", quote=None) -> str:
 
 
 def _write(text: str, out) -> None:
-    """Write text to out whole; bytes, as under python -u a text write can lose a part."""
+    """Write text to out whole, as bytes to its raw layer: no byte waits in a Python buffer."""
     if out is None:  # started with this stream closed
         return
     if not hasattr(out, "buffer"):  # a text-only stream, as under redirect_stdout(StringIO())
         out.write(text)
         return
     out.flush()
+    raw = getattr(out.buffer, "raw", out.buffer)  # leaves the exit-time flush no byte to fail on
     data = memoryview(text.encode(out.encoding, out.errors))
     while data:
-        if not (taken := out.buffer.write(data)):  # 0, or None: a non-blocking stream would block
+        if not (taken := raw.write(data)):  # 0, or None: a non-blocking stream would block
             raise OSError(f"stdout took none of the last {len(data)} bytes")
         data = data[taken:]
-    out.buffer.flush()
 
 
 def _cmd_check(args: argparse.Namespace) -> tuple[int, str]:

@@ -10,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from enum import IntEnum
 
 import pytest
@@ -214,6 +215,12 @@ def test_enumerate_cap_exits_three(demo_file, capsys):
     assert "raise the cap" in err
 
 
+def test_enumerate_cap_one_lists_a_single_path(tmp_path, capsys):
+    path = tmp_path / "one-edge.trust"
+    path.write_text("node S\nnode D\nsource S\ndest D\nedge S D 0.9\n", encoding="utf-8")
+    assert run_cli(capsys, "enumerate", "-t", str(path), "--cap", "1") == (0, "1 S→D\n", "")
+
+
 def test_fixture_emits_reparsable_demo(capsys):
     code, out, err = run_cli(capsys, "fixture")
     assert code == 0
@@ -298,6 +305,50 @@ def test_the_topology_is_utf8_and_its_bytes_are_freed_before_the_parse(
     monkeypatch.setattr(cli, "parse_topology", parse)
     code, out, err = run_cli(capsys, "route", "-t", str(path) if source == "file" else "-")
     assert (code, out.splitlines()[0], err, held) == (0, "route S\u2192\u00e9\u2192D", "", [])
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="O_NONBLOCK is POSIX")
+def test_a_non_blocking_stdin_is_read_to_its_end(demo_file):
+    with open(demo_file, "rb") as handle:
+        document = handle.read()
+    env = {**os.environ, "PYTHONPATH": SRC}
+    command = [sys.executable, "-m", "trustpath", "enumerate", "-t"]
+    whole = subprocess.run([*command, demo_file], env=env, capture_output=True)
+    reader, writer = os.pipe()
+    os.set_blocking(reader, False)  # a read of the empty pipe returns None, not waits
+    with subprocess.Popen(
+        [*command, "-"], env=env, stdin=reader, stdout=subprocess.PIPE
+    ) as process:
+        os.close(reader)
+        with open(writer, "wb", buffering=0) as pipe:
+            for part in (document[: len(document) // 2], document[len(document) // 2 :]):
+                time.sleep(0.4)  # the child reads what has come so far, or nothing
+                pipe.write(part)
+        out, _ = process.communicate(timeout=60)
+    assert (process.returncode, out.count(b"\n"), out) == (0, 48, whole.stdout)
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="no pseudo-terminals")
+def test_a_terminal_stdin_ends_at_one_end_of_file_key(demo_file):
+    import pty
+
+    with open(demo_file, "rb") as handle:
+        document = handle.read()
+    primary, terminal = pty.openpty()
+    with subprocess.Popen(
+        [sys.executable, "-m", "trustpath", "enumerate", "-t", "-"],
+        env={**os.environ, "PYTHONPATH": SRC},
+        stdin=terminal,
+        stdout=subprocess.PIPE,
+    ) as process:
+        os.close(terminal)
+        try:
+            os.write(primary, document + b"\x04")  # the document, then Ctrl-D at a line start
+            out, _ = process.communicate(timeout=60)  # a second read would wait for another
+        finally:
+            process.kill()
+            os.close(primary)
+    assert (process.returncode, out.count(b"\n")) == (0, 48)
 
 
 def test_simulate_text(demo_file, capsys):
@@ -601,6 +652,11 @@ def test_decimals_flag_widths(demo_file, capsys):
     assert "0.82" in out2 and "0.825" not in out2
     assert "0.825" in out3
     assert "0.825000" in out6
+    # the two ends of the range, through main
+    _, out0, _ = run_cli(capsys, "route", "-t", demo_file, "--decimals", "0")
+    _, out12, _ = run_cli(capsys, "route", "-t", demo_file, "--decimals", "12")
+    assert "\nmean_trust 0\n" in out0
+    assert " edge_trust=0.950000000000 " in out12
 
 
 def test_decimals_out_of_range_exits_one(demo_file, capsys):
@@ -754,18 +810,21 @@ def test_a_short_write_is_one_error_line(command, fmt, blocks, demo_file, capsys
     assert pipe.taken == document[:10]
 
 
+def _child_env(unbuffered: bool) -> dict:
+    """The environment of a trustpath child, with its streams buffered or not."""
+    env = {**os.environ, "PYTHONPATH": SRC}
+    env.pop("PYTHONUNBUFFERED", None)
+    return {**env, "PYTHONUNBUFFERED": "1"} if unbuffered else env
+
+
 @pytest.mark.parametrize("unbuffered", [False, True])
 def test_a_reader_that_goes_away_ends_the_process_with_one_error_line(unbuffered, tmp_path):
     # About 300 KB of text: more than a pipe holds, so the writer is still writing.
     mesh = tmp_path / "mesh.trust"
     mesh.write_text(serialize_topology(generate_mesh((10,) * 4)), encoding="utf-8")
-    env = {**os.environ, "PYTHONPATH": SRC}
-    env.pop("PYTHONUNBUFFERED", None)
-    if unbuffered:
-        env["PYTHONUNBUFFERED"] = "1"
     process = subprocess.Popen(
         [sys.executable, "-m", "trustpath", "enumerate", "-t", str(mesh)],
-        env=env,
+        env=_child_env(unbuffered),
         stdin=subprocess.DEVNULL,
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
@@ -774,6 +833,31 @@ def test_a_reader_that_goes_away_ends_the_process_with_one_error_line(unbuffered
     process.stdout.close()  # as `head -c 10` does
     _, err = process.communicate(timeout=60)
     assert (process.returncode, err) == (1, b"error: [Errno 32] Broken pipe\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize(
+    ("argv", "full", "code"),
+    [
+        (["enumerate", "--cap", "3"], "stderr", 3),
+        (["route", "--decimals", "13"], "stderr", 1),
+        (["enumerate"], "stdout", 1),
+        (["enumerate"], "both", 1),
+    ],
+)
+def test_a_full_device_keeps_the_exit_code(argv, full, code, unbuffered, demo_file):
+    # Buffered, a byte left in a stream's buffer made the exit-time flush fail: exit 120.
+    with open("/dev/full", "wb") as device:
+        run = subprocess.run(
+            [sys.executable, "-m", "trustpath", *argv, "-t", demo_file],
+            env=_child_env(unbuffered),
+            stdin=subprocess.DEVNULL,
+            stdout=subprocess.PIPE if full == "stderr" else device,
+            stderr=subprocess.PIPE if full == "stdout" else device,
+        )
+    error = b"error: [Errno 28] No space left on device\n" if full == "stdout" else None
+    assert (run.returncode, run.stdout or None, run.stderr) == (code, None, error)
 
 
 def test_an_unencodable_document_is_one_error_line(demo_file):

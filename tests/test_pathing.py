@@ -53,6 +53,7 @@ def test_enumeration_index_formula_on_demo_mesh(demo_topology):
 def test_single_edge_topology_has_one_path():
     topology = Topology(["S", "D"], {("S", "D"): make_pair(1, 0)}, "S", "D")
     assert enumerate_paths(topology) == [("S", "D")]
+    assert enumerate_paths(topology, cap=1) == [("S", "D")]  # a cap the count meets
 
 
 def test_no_path_yields_empty_list():

@@ -8,6 +8,7 @@ import pytest
 
 from helpers import chain_topology
 from trustpath import (
+    FULL_TRUST,
     Chaining,
     ModelConstants,
     PathError,
@@ -130,6 +131,10 @@ def test_verdict_boundaries():
     assert tied.verdict is Verdict.INDIFFERENT  # 0.51 on both components
     rejected = propagate_trust_hop(TrustPair(1.0, 0.0), TrustPair(0.1, 0.9))
     assert rejected.verdict is Verdict.NOT_ACCEPTABLE  # 0.51 against 0.9
+    near = propagate_trust_hop(
+        FULL_TRUST, TrustPair(0.5, 0.5), ModelConstants(theta_min=0.5000000000000001)
+    )
+    assert near.verdict is Verdict.INDIFFERENT  # trust above untrust by one ulp, within tolerance
 
 
 def test_trust_output_closed_form_for_complementary_arrivals():
