@@ -434,13 +434,15 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     """Run the CLI; returns the process exit code instead of raising SystemExit."""
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse --help (0) or a usage error (2, kept for domain results)
-        return EXIT_INPUT_ERROR if exc.code else EXIT_OK
     gc_enabled = gc.isenabled()
     try:
+        usage = io.StringIO()  # argparse's help (stdout) or usage error (stderr): never both
+        try:
+            with contextlib.redirect_stdout(usage), contextlib.redirect_stderr(usage):
+                args = build_parser().parse_args(argv)
+        except SystemExit as exc:  # --help (0) or a usage error (2, kept for domain results)
+            _write(usage.getvalue(), sys.stderr if exc.code else sys.stdout)
+            return EXIT_INPUT_ERROR if exc.code else EXIT_OK
         args.constants = ModelConstants._make(getattr(args, n) for n in ModelConstants._fields)
         if args.cap < 1:
             raise TrustValueError(f"cap must be >= 1, got {args.cap}")

@@ -701,6 +701,21 @@ def test_closed_stdout_is_one_error_line(command, fmt, demo_file, capsys, monkey
     assert (code, capsys.readouterr().err) == (1, "error: [Errno 32] Broken pipe\n")
 
 
+@pytest.mark.parametrize("argv", [["--help"], ["route", "--help"]])
+def test_help_to_a_closed_stdout_is_one_error_line(argv, capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdout", _ClosedPipe())
+    assert (main(argv), capsys.readouterr().err) == (1, "error: [Errno 32] Broken pipe\n")
+
+
+def test_help_and_usage_errors_to_a_closed_stream_write_nothing(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdout", None)  # as under `trustpath --help >&-`
+    assert main(["--help"]) == 0
+    monkeypatch.setattr("sys.stderr", None)  # as under `trustpath route --bogus 2>&-`
+    assert main(["route", "--bogus"]) == 1
+    monkeypatch.undo()
+    assert capsys.readouterr() == ("", "")
+
+
 # One valid invocation of each command on the demo file.
 _INVOCATIONS = {
     "check": ["check", "S,3,7,11,D"],
@@ -793,11 +808,7 @@ class _ShortPipe(io.RawIOBase):
         return len(self.taken)
 
 
-@pytest.mark.parametrize("blocks", [False, True])
-@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
-@pytest.mark.parametrize("command", list(cli._COMMANDS))
-def test_a_short_write_is_one_error_line(command, fmt, blocks, demo_file, capsys, monkeypatch):
-    argv = [*_INVOCATIONS[command], "-t", demo_file, "--format", fmt]
+def _assert_a_short_write_is_one_error_line(argv, blocks, capsys, monkeypatch):
     main(argv)
     document = capsys.readouterr().out.encode("utf-8")
     pipe = _ShortPipe(blocks)
@@ -808,6 +819,20 @@ def test_a_short_write_is_one_error_line(command, fmt, blocks, demo_file, capsys
     err = capsys.readouterr().err
     assert (code, err.count("\n"), err[:7], err[-1:]) == (1, 1, "error: ", "\n")
     assert pipe.taken == document[:10]
+
+
+@pytest.mark.parametrize("blocks", [False, True])
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_a_short_write_is_one_error_line(command, fmt, blocks, demo_file, capsys, monkeypatch):
+    argv = [*_INVOCATIONS[command], "-t", demo_file, "--format", fmt]
+    _assert_a_short_write_is_one_error_line(argv, blocks, capsys, monkeypatch)
+
+
+@pytest.mark.parametrize("blocks", [False, True])
+@pytest.mark.parametrize("argv", [["--help"], ["route", "--help"]])
+def test_help_cut_short_is_one_error_line(argv, blocks, capsys, monkeypatch):
+    _assert_a_short_write_is_one_error_line(argv, blocks, capsys, monkeypatch)
 
 
 def _child_env(unbuffered: bool) -> dict:
@@ -844,6 +869,8 @@ def test_a_reader_that_goes_away_ends_the_process_with_one_error_line(unbuffered
         (["route", "--decimals", "13"], "stderr", 1),
         (["enumerate"], "stdout", 1),
         (["enumerate"], "both", 1),
+        (["--help"], "stdout", 1),
+        (["route", "--bogus"], "stderr", 1),
     ],
 )
 def test_a_full_device_keeps_the_exit_code(argv, full, code, unbuffered, demo_file):

@@ -9,6 +9,7 @@ import pytest
 from helpers import chain_topology
 from trustpath import (
     FULL_TRUST,
+    VERDICT_TOL,
     Chaining,
     ModelConstants,
     PathError,
@@ -135,6 +136,12 @@ def test_verdict_boundaries():
         FULL_TRUST, TrustPair(0.5, 0.5), ModelConstants(theta_min=0.5000000000000001)
     )
     assert near.verdict is Verdict.INDIFFERENT  # trust above untrust by one ulp, within tolerance
+    # A difference exactly at the tolerance is not above it, whichever component is larger.
+    t, u = 0.5000444502911705, 0.5000444502906705
+    assert t - u == VERDICT_TOL * t
+    for trust, untrust in ((t, u), (u, t)):  # the hop's output components
+        edge, constants = TrustPair(0.5, untrust), ModelConstants(theta_min=trust)
+        assert propagate_trust_hop(FULL_TRUST, edge, constants).verdict is Verdict.INDIFFERENT
 
 
 def test_trust_output_closed_form_for_complementary_arrivals():
