@@ -123,28 +123,28 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_topology(args: argparse.Namespace):
     if not args.topology:
         raise TopologyError("no topology given; pass --topology FILE, or '-' for stdin")
-    # Bytes, decoded as strict UTF-8 whatever the locale says, and freed before the parse.
     if args.topology != "-":
-        with open(args.topology, "rb") as handle:
-            text = str(handle.read(), "utf-8")
+        with open(args.topology, "rb", buffering=0) as raw:
+            text = _read(raw)
     elif sys.stdin is None:  # started with stdin closed
         raise TopologyError("no standard input to read")
-    elif hasattr(sys.stdin, "buffer"):
-        chunks = []  # a non-blocking stdin gives what has come so far, or None for nothing yet
-        while (chunk := sys.stdin.buffer.read()) != b"":  # b"" only at end of file
-            if chunk is None:
-                import select  # here, not at start-up: only a non-blocking stdin needs it
-
-                select.select([sys.stdin], [], [])  # wait for more; O_NONBLOCK stays as it is
-                continue
-            chunks.append(chunk)
-            if sys.stdin.isatty():  # a terminal's read ends at its end-of-file key, once
-                break
-        text = str(b"".join(chunks), "utf-8")  # one chunk is joined without a copy
-        del chunks, chunk
+    elif hasattr(sys.stdin, "buffer"):  # read below Python's buffer, as _write writes
+        text = _read(getattr(sys.stdin.buffer, "raw", sys.stdin.buffer))
     else:  # a text-only stream, as a caller's io.StringIO
         text = sys.stdin.read()
     return parse_topology(text, strict=args.strict)
+
+
+def _read(raw) -> str:
+    """raw's bytes, one system call per read, as strict UTF-8 whatever the locale says."""
+    chunks = []  # freed when this returns, before the parse
+    while (chunk := raw.read(1 << 20)) != b"":  # b"" only at end of file or an end-of-file key
+        if chunk is None:  # a non-blocking stream with nothing yet: wait; O_NONBLOCK stays
+            import select  # here, not at start-up: only a non-blocking stream needs it
+            select.select([raw], [], [])
+        else:
+            chunks.append(chunk)
+    return str(b"".join(chunks), "utf-8")  # one chunk is joined without a copy
 
 
 def _step_lines(header, rows, decimals: int):
@@ -226,9 +226,11 @@ def _write(text: str, out) -> None:
     raw = getattr(out.buffer, "raw", out.buffer)  # leaves the exit-time flush no byte to fail on
     data = memoryview(text.encode(out.encoding, out.errors))
     while data:
-        if not (taken := raw.write(data)):  # 0, or None: a non-blocking stream would block
-            raise OSError(f"stdout took none of the last {len(data)} bytes")
-        data = data[taken:]
+        if (taken := raw.write(data)) is None:  # a non-blocking stream that would block
+            import select  # here, not at start-up: only a non-blocking stream needs it
+            select.select([], [raw], [])  # wait until it takes more; a device with no fd raises
+        else:
+            data = data[taken:]
 
 
 def _cmd_check(args: argparse.Namespace) -> tuple[int, str]:

@@ -329,12 +329,14 @@ def test_a_non_blocking_stdin_is_read_to_its_end(demo_file):
 
 
 @pytest.mark.skipif(sys.platform == "win32", reason="no pseudo-terminals")
-def test_a_terminal_stdin_ends_at_one_end_of_file_key(demo_file):
+@pytest.mark.parametrize("nonblocking", [False, True])
+def test_a_terminal_stdin_ends_at_one_end_of_file_key(nonblocking, demo_file):
     import pty
 
     with open(demo_file, "rb") as handle:
         document = handle.read()
     primary, terminal = pty.openpty()
+    os.set_blocking(terminal, not nonblocking)  # non-blocking, a read with no line returns None
     with subprocess.Popen(
         [sys.executable, "-m", "trustpath", "enumerate", "-t", "-"],
         env={**os.environ, "PYTHONPATH": SRC},
@@ -343,7 +345,10 @@ def test_a_terminal_stdin_ends_at_one_end_of_file_key(demo_file):
     ) as process:
         os.close(terminal)
         try:
-            os.write(primary, document + b"\x04")  # the document, then Ctrl-D at a line start
+            for part in (document[: len(document) // 2], document[len(document) // 2 :]):
+                time.sleep(0.4)  # the child reads the lines that have come so far, or none
+                os.write(primary, part)
+            os.write(primary, b"\x04")  # Ctrl-D at a line start
             out, _ = process.communicate(timeout=60)  # a second read would wait for another
         finally:
             process.kill()
@@ -789,6 +794,8 @@ class _ShortPipe(io.RawIOBase):
 
     Later writes raise BrokenPipeError, or return None as a non-blocking
     pipe that would block does. An empty write returns 0, as on a Linux pipe.
+    It has no file descriptor, so waiting on it after a None fails: select
+    raises io.UnsupportedOperation, an OSError, and that is one error line.
     """
 
     def __init__(self, blocks):
@@ -842,22 +849,53 @@ def _child_env(unbuffered: bool) -> dict:
     return {**env, "PYTHONUNBUFFERED": "1"} if unbuffered else env
 
 
-@pytest.mark.parametrize("unbuffered", [False, True])
-def test_a_reader_that_goes_away_ends_the_process_with_one_error_line(unbuffered, tmp_path):
-    # About 300 KB of text: more than a pipe holds, so the writer is still writing.
+def _enumerate_into_a_pipe(tmp_path, unbuffered: bool, nonblocking: bool):
+    """`enumerate` on a 10^4-path mesh, its stdout a pipe; the process and the read end.
+
+    About 300 KB of text: more than a pipe holds, so the writer is still writing.
+    """
     mesh = tmp_path / "mesh.trust"
     mesh.write_text(serialize_topology(generate_mesh((10,) * 4)), encoding="utf-8")
+    reader, writer = os.pipe()
+    if nonblocking:  # a write to the full pipe returns None, not waits
+        os.set_blocking(writer, False)
     process = subprocess.Popen(
         [sys.executable, "-m", "trustpath", "enumerate", "-t", str(mesh)],
         env=_child_env(unbuffered),
         stdin=subprocess.DEVNULL,
-        stdout=subprocess.PIPE,
+        stdout=writer,
         stderr=subprocess.PIPE,
     )
-    assert process.stdout.read(10) == "1 S→1→".encode("utf-8")
-    process.stdout.close()  # as `head -c 10` does
+    os.close(writer)
+    return process, open(reader, "rb")
+
+
+_NON_BLOCKING = pytest.param(
+    True, marks=pytest.mark.skipif(sys.platform == "win32", reason="O_NONBLOCK is POSIX")
+)
+
+
+@pytest.mark.parametrize("nonblocking", [False, _NON_BLOCKING])
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_a_reader_that_goes_away_ends_the_process_with_one_error_line(
+    unbuffered, nonblocking, tmp_path
+):
+    process, stdout = _enumerate_into_a_pipe(tmp_path, unbuffered, nonblocking)
+    assert stdout.read(10) == "1 S→1→".encode("utf-8")
+    stdout.close()  # as `head -c 10` does
     _, err = process.communicate(timeout=60)
     assert (process.returncode, err) == (1, b"error: [Errno 32] Broken pipe\n")
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="O_NONBLOCK is POSIX")
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_a_non_blocking_stdout_that_would_block_is_waited_on(unbuffered, tmp_path):
+    process, stdout = _enumerate_into_a_pipe(tmp_path, unbuffered, nonblocking=True)
+    with process, stdout:
+        time.sleep(1)  # a slow reader: the pipe fills, and the next write would block
+        out = stdout.read()
+        _, err = process.communicate(timeout=60)
+    assert (process.returncode, out.count(b"\n"), err) == (0, 10_000, b"")
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
