@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 import time
+import types
 from enum import IntEnum
 
 import pytest
@@ -356,6 +357,15 @@ def test_a_terminal_stdin_ends_at_one_end_of_file_key(nonblocking, demo_file):
     assert (process.returncode, out.count(b"\n")) == (0, 48)
 
 
+def test_a_read_that_returns_none_is_waited_on(monkeypatch):
+    # a non-blocking stream with nothing yet: the reader waits on it, not spins
+    reads = iter([None, b"node S\n", None, b"node D\n", b""])
+    raw = types.SimpleNamespace(read=lambda size: next(reads))
+    waits = []
+    monkeypatch.setattr("select.select", lambda *fds: waits.append(fds))
+    assert (cli._read(raw), waits) == ("node S\nnode D\n", [([raw], [], [])] * 2)
+
+
 def test_simulate_text(demo_file, capsys):
     code, out, _ = run_cli(capsys, "simulate", "-t", demo_file, "--packets", "25")
     assert code == 0
@@ -664,10 +674,12 @@ def test_decimals_flag_widths(demo_file, capsys):
     assert " edge_trust=0.950000000000 " in out12
 
 
-def test_decimals_out_of_range_exits_one(demo_file, capsys):
-    code, _, err = run_cli(capsys, "rank", "-t", demo_file, "--decimals", "13")
-    assert code == 1
-    assert "decimals" in err
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_decimals_out_of_range_exits_one(command, fmt, demo_file, capsys):
+    # main refuses it before any command runs, whether or not the format rounds
+    argv = [*_INVOCATIONS[command], "-t", demo_file, "--format", fmt, "--decimals", "13"]
+    assert run_cli(capsys, *argv) == (1, "", "error: decimals must be in [0, 12], got 13\n")
 
 
 def test_reruns_are_byte_identical(demo_file, capsys):
@@ -787,6 +799,18 @@ def test_a_document_reaches_stdout_in_one_write(command, fmt, demo_file, monkeyp
     document, *rest = [text for text in log.writes if text]
     assert rest == []
     assert "\n" in document.rstrip("\n")  # several lines, all in that one write
+
+
+def test_text_written_before_main_comes_out_first(demo_file, capsys, monkeypatch):
+    main(["route", "-t", demo_file])
+    document = capsys.readouterr().out
+    written = io.BytesIO()
+    stdout = io.TextIOWrapper(io.BufferedWriter(written), encoding="utf-8")
+    monkeypatch.setattr("sys.stdout", stdout)
+    stdout.write("a caller's line\n")  # still in stdout's buffer when main starts
+    assert main(["route", "-t", demo_file]) == 0
+    stdout.flush()
+    assert written.getvalue().decode("utf-8") == "a caller's line\n" + document
 
 
 class _ShortPipe(io.RawIOBase):
@@ -909,16 +933,19 @@ def test_a_non_blocking_stdout_that_would_block_is_waited_on(unbuffered, tmp_pat
         (["enumerate"], "both", 1),
         (["--help"], "stdout", 1),
         (["route", "--bogus"], "stderr", 1),
+        (["enumerate", "--cap", "3"], "closed", 3),
     ],
 )
 def test_a_full_device_keeps_the_exit_code(argv, full, code, unbuffered, demo_file):
     # Buffered, a byte left in a stream's buffer made the exit-time flush fail: exit 120.
+    # "closed" is stderr's fd 2 closed, as under `2>&-`: sys.stderr is None in the child.
+    command = [sys.executable, "-m", "trustpath", *argv, "-t", demo_file]
     with open("/dev/full", "wb") as device:
         run = subprocess.run(
-            [sys.executable, "-m", "trustpath", *argv, "-t", demo_file],
+            ["sh", "-c", 'exec "$0" "$@" 2>&-', *command] if full == "closed" else command,
             env=_child_env(unbuffered),
             stdin=subprocess.DEVNULL,
-            stdout=subprocess.PIPE if full == "stderr" else device,
+            stdout=device if full in ("stdout", "both") else subprocess.PIPE,
             stderr=subprocess.PIPE if full == "stdout" else device,
         )
     error = b"error: [Errno 28] No space left on device\n" if full == "stdout" else None
