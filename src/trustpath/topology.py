@@ -2,6 +2,7 @@
 
 from collections.abc import Iterable, Mapping
 from itertools import accumulate
+from sys import intern
 
 from .core import TrustPair, TrustValueError, make_pair
 
@@ -70,38 +71,40 @@ class Topology:
         self.source = source
         self.destination = destination
 
-        self._pairs: dict[tuple[str, str], TrustPair] = {}
-        for key, pair in edges.items() if isinstance(edges, Mapping) else edges:
-            src, dst = key = tuple(key)  # a tuple key is stored itself, not a copy of it
+        # Per-source adjacency: src -> {dst: pair}, each in edge declaration order.
+        self._out: dict[str, dict[str, TrustPair]] = {node: {} for node in self.nodes}
+        for (src, dst), pair in edges.items() if isinstance(edges, Mapping) else edges:
             if src not in self._order:  # the source is named first when both are undeclared
                 raise TopologyError(f"edge endpoint {src!r} is not a declared node")
             if dst not in self._order:
                 raise TopologyError(f"edge endpoint {dst!r} is not a declared node")
             if src == dst:
                 raise TopologyError(f"self-loop on {src!r} is not allowed")
-            if key in self._pairs:
+            targets = self._out[src]
+            if dst in targets:
                 raise TopologyError(f"duplicate edge {src} -> {dst}")
             if not isinstance(pair, TrustPair):
                 raise TopologyError(f"edge {src} -> {dst} value {pair!r} is not a TrustPair")
-            self._pairs[key] = pair
+            targets[dst] = pair
 
-        successors: dict[str, list[str]] = {node: [] for node in self.nodes}
-        for src, dst in self._pairs:
-            successors[src].append(dst)
         self._successors = {
             node: tuple(sorted(targets, key=self._order.__getitem__))
-            for node, targets in successors.items()
+            for node, targets in self._out.items()
         }
         self._by_trust: dict[str, tuple[tuple[str, TrustPair], ...]] = {}
 
     def edge_pairs(self) -> dict[tuple[str, str], TrustPair]:
-        """A copy of the (src, dst) -> TrustPair mapping."""
-        return dict(self._pairs)
+        """A new (src, dst) -> TrustPair mapping of every edge.
+
+        Ordered by source in node declaration order, then by that source's
+        edges in their declaration order.
+        """
+        return {(src, dst): pair for src, out in self._out.items() for dst, pair in out.items()}
 
     def edge(self, src: str, dst: str) -> TrustPair:
         """The trust pair on the edge src -> dst."""
         try:
-            return self._pairs[(src, dst)]
+            return self._out[src][dst]
         except KeyError:
             raise TopologyError(f"no edge {src} -> {dst}") from None
 
@@ -120,7 +123,7 @@ class Topology:
         try:
             return self._by_trust[node]
         except KeyError:
-            items = ((dst, self._pairs[node, dst]) for dst in self.successors(node))
+            items = ((dst, self._out[node][dst]) for dst in self.successors(node))
             order = tuple(sorted(items, key=lambda item: item[1].trust, reverse=True))  # stable
             self._by_trust[node] = order
             return order
@@ -151,7 +154,7 @@ class Topology:
             )
         if len(set(path)) != len(path):
             raise PathError("path revisits a node")
-        src, dst = next(hop for hop in zip(path, path[1:]) if hop not in self._pairs)
+        src, dst = next(hop for hop in zip(path, path[1:]) if hop[1] not in self._out[hop[0]])
         raise PathError(f"no edge {src} -> {dst}")
 
     def __eq__(self, other: object):
@@ -161,12 +164,12 @@ class Topology:
             self.nodes == other.nodes
             and self.source == other.source
             and self.destination == other.destination
-            and self._pairs == other._pairs
+            and self._out == other._out
         )
 
     def __repr__(self) -> str:
         return (
-            f"Topology({len(self.nodes)} nodes, {len(self._pairs)} edges, "
+            f"Topology({len(self.nodes)} nodes, {sum(map(len, self._out.values()))} edges, "
             f"{self.source!r} -> {self.destination!r})"
         )
 
@@ -185,10 +188,11 @@ def parse_topology(text: str, *, strict: bool = True) -> Topology:
     explicitly given pair must sum to one within COMPLEMENT_TOL;
     strict=False keeps only the [0, 1] range checks. Errors raise
     TopologyParseError carrying the offending line number where known.
+    Node ids are interned, so the topology holds one string per name.
     """
     nodes: list[tuple[int, str]] = []
     roles: dict[str, tuple[int, str]] = {}
-    edges: list[tuple[int, tuple[str, str], TrustPair]] = []
+    srcs, dsts, pairs, edge_lines = [], [], [], []  # flat, so no tuple per edge outlives the parse
     text = text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
     for lineno, raw in enumerate(text.split("\n"), start=1):
         # split() with no argument drops the whitespace around the tokens too.
@@ -204,16 +208,19 @@ def parse_topology(text: str, *, strict: bool = True) -> Topology:
                         else make_pair(tokens[3], tokens[4], strict=strict))
             except TrustValueError as err:
                 raise TopologyParseError(str(err), lineno) from None
-            edges.append((lineno, (tokens[1], tokens[2]), pair))
+            srcs.append(intern(tokens[1]))
+            dsts.append(intern(tokens[2]))
+            pairs.append(pair)
+            edge_lines.append(lineno)
         elif kind in ("node", "source", "dest"):
             if len(tokens) != 2:
                 raise TopologyParseError(f"{kind} takes exactly one identifier", lineno)
             if kind == "node":
-                nodes.append((lineno, tokens[1]))
+                nodes.append((lineno, intern(tokens[1])))
             elif kind in roles:
                 raise TopologyParseError(f"{kind} already declared", lineno)
             else:
-                roles[kind] = (lineno, tokens[1])
+                roles[kind] = (lineno, intern(tokens[1]))
         else:
             raise TopologyParseError(f"unknown declaration {kind!r}", lineno)
     for kind in ("source", "dest"):
@@ -234,8 +241,8 @@ def parse_topology(text: str, *, strict: bool = True) -> Topology:
         line = None
 
     try:
-        items = ((n, (key, pair)) for n, key, pair in edges)  # lazily: one tuple less per edge
-        return Topology(tracked(nodes), tracked(items), source, dest)
+        edges = zip(edge_lines, zip(zip(srcs, dsts), pairs))
+        return Topology(tracked(nodes), tracked(edges), source, dest)
     except TopologyError as err:
         if line is None:
             source_declared = any(name == source for _, name in nodes)

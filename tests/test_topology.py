@@ -1,6 +1,7 @@
 """Topology model, file format round-trips, the demo mesh, and the generator."""
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -271,11 +272,54 @@ def test_edges_take_a_mapping_or_items():
     assert (from_mapping == "x") is False
     assert repr(from_mapping) == "Topology(3 nodes, 3 edges, 'S' -> 'D')"
     assert from_items.edge_pairs() == pairs
+    assert list(from_items.edge_pairs()) == [("S", "a"), ("S", "D"), ("a", "D")]  # by source
     assert from_items.successors("S") == ("a", "D")
-    # tuple keys are stored as given, so a parse holds one key tuple per edge, not two
-    assert all(a is b for a, b in zip(from_items.edge_pairs(), pairs))
     with pytest.raises(TopologyError, match=r"^duplicate edge S -> a$"):
         Topology(["S", "a", "D"], [(("S", "a"), make_pair(1))] * 2, "S", "D")
+
+
+def test_parse_holds_one_string_per_node_name():
+    # Names of more than one character, which str.split() returns as new
+    # strings, and the edges declared before the nodes they join.
+    text = (
+        "edge src mid 0.9\nedge mid dst 0.8\nedge src dst 0.1\n"
+        "node src\nnode mid\nnode dst\nsource src\ndest dst\n"
+    )
+    topology = parse_topology(text)
+    declared = {node: node for node in topology.nodes}
+    held = [topology.source, topology.destination]
+    held += [dst for node in topology.nodes for dst in topology.successors(node)]
+    held += [end for key in topology.edge_pairs() for end in key]
+    assert len(held) == 2 + 3 + 6
+    assert all(name is declared[name] for name in held)
+
+
+def _route_sim_document() -> str:
+    """A 200-layer mesh of 10 nodes each, 19,920 edges with distinct one-value trusts."""
+    rng = random.Random(1)
+    layers = [[str(10 * i + j) for j in range(1, 11)] for i in range(200)]
+    nodes = ["S", *(node for layer in layers for node in layer), "D"]
+    lines = [f"node {node}" for node in nodes] + ["source S", "dest D"]
+    for froms, tos in zip([["S"], *layers], [*layers, ["D"]]):
+        lines += [f"edge {src} {dst} {rng.uniform(0.3, 1.0)!r}" for src in froms for dst in tos]
+    return "\n".join(lines) + "\n"
+
+
+def test_parse_heap_budget():
+    # A parse that holds one string per node name and no tuple per edge
+    # retains 3.1-3.7 MB here with a 5.4-5.7 MB peak on 3.10-3.13; one that
+    # keeps a string per token and a key tuple per edge retains 6.1-6.5 MB
+    # with an 8.8-9.3 MB peak, which these bounds reject.
+    text = _route_sim_document()
+    tracemalloc.start()
+    try:
+        topology = parse_topology(text)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(topology.edge_pairs()) == 19_920
+    assert retained < 4_500_000
+    assert peak < 7_000_000
 
 
 def test_serialize_canonical_form():
