@@ -287,14 +287,12 @@ def _cmd_rank(args: argparse.Namespace) -> tuple[int, str]:
     ]
 
     if args.format == "text":
-        # Formatted column by column: these rows are most of a full listing's cost.
-        decimals = args.decimals
         cells = [
             (
                 str(rank),
                 path,
-                display_round(trust, decimals),
-                display_round(untrust, decimals),
+                display_round(trust, args.decimals),
+                display_round(untrust, args.decimals),
                 code,
             )
             for rank, path, trust, untrust, code in rows
@@ -320,12 +318,11 @@ def _cmd_route(args: argparse.Namespace) -> tuple[int, str]:
     ]
 
     if args.format == "text":
-        decimals = args.decimals
         lines = [f"route {ARROW.join(route.path)}"]
-        lines.extend(_step_lines(_STEP_HEADER, rows, decimals))
+        lines.extend(_step_lines(_STEP_HEADER, rows, args.decimals))
         lines.append(f"reached {'yes' if route.reached else 'no'}")
         if route.reached:
-            lines.append(f"mean_trust {display_round(mean_trust, decimals)}")
+            lines.append(f"mean_trust {display_round(mean_trust, args.decimals)}")
         else:
             lines.append(f"stuck {route.stuck_node}")
         document = "\n".join(lines) + "\n"

@@ -37,11 +37,6 @@ TOL = 1e-12
 
 REFERENCE_PATH = ("S", "3", "7", "11", "D")
 
-DEAD_END = (
-    "node S\nnode a\nnode D\nsource S\ndest D\n"
-    "edge S a 0.05 0.95\nedge a D 1 0\n"
-)
-
 
 @pytest.fixture()
 def announce(capsys):
@@ -210,7 +205,9 @@ def test_criterion_8_simulation_counts(demo_topology, announce):
         }
 
 
-def test_criterion_9_cli_pipeline_and_exit_codes(tmp_path, capsys, announce, demo_file):
+def test_criterion_9_cli_pipeline_and_exit_codes(
+    tmp_path, capsys, announce, demo_file, dead_end_file
+):
     with announce(9, "fixture|route pipeline and exit codes 0/1/2/3"):
         command = (
             f"{sys.executable} -m trustpath fixture | "
@@ -221,8 +218,6 @@ def test_criterion_9_cli_pipeline_and_exit_codes(tmp_path, capsys, announce, dem
         stdout = completed.stdout.decode("utf-8")
         assert stdout.splitlines()[0] == "route S→3→7→11→D"
 
-        dead_end = tmp_path / "deadend.trust"
-        dead_end.write_text(DEAD_END, encoding="utf-8")
         bad = tmp_path / "bad.trust"
         bad.write_text("edge S D 1.5 0\n", encoding="utf-8")
 
@@ -230,7 +225,7 @@ def test_criterion_9_cli_pipeline_and_exit_codes(tmp_path, capsys, announce, dem
         assert ok_code == 0
         parse_code, _, _ = run_cli(capsys, "route", "-t", str(bad))
         assert parse_code == 1
-        dead_code, _, _ = run_cli(capsys, "route", "-t", str(dead_end))
+        dead_code, _, _ = run_cli(capsys, "route", "-t", dead_end_file)
         assert dead_code == 2
         cap_code, _, _ = run_cli(capsys, "enumerate", "-t", demo_file, "--cap", "10")
         assert cap_code == 3

@@ -5,7 +5,7 @@ from math import fsum, prod
 
 import pytest
 
-from helpers import brute_force_paths, chain_topology, mesh_on_pair, random_dag, random_topology
+from helpers import chain_topology, mesh_on_pair, random_dag, random_topology
 from trustpath import (
     DEFAULT_CONSTANTS,
     ModelConstants,
@@ -32,14 +32,6 @@ from trustpath import (
 )
 
 TOL = 1e-12
-
-
-def test_enumeration_counts_and_order_on_demo_mesh(demo_topology):
-    paths = enumerate_paths(demo_topology)
-    assert len(paths) == 48
-    assert paths[0] == ("S", "1", "5", "8", "D")
-    assert paths[35] == ("S", "3", "7", "11", "D")
-    assert paths[47] == ("S", "4", "7", "11", "D")
 
 
 def test_enumeration_index_formula_on_demo_mesh(demo_topology):
@@ -71,13 +63,6 @@ def test_enumeration_cap():
         enumerate_paths(topology, cap=0)
 
 
-def test_enumeration_matches_brute_force_on_random_dags():
-    rng = random.Random(77)
-    for _ in range(25):
-        topology = random_dag(rng)
-        assert sorted(enumerate_paths(topology)) == sorted(brute_force_paths(topology))
-
-
 def test_enumeration_handles_cycles():
     pair = make_pair(0.5)
     topology = Topology(
@@ -103,21 +88,6 @@ def test_mesh_path_count_is_product_of_layer_sizes():
     assert len(enumerate_paths(generate_mesh((4, 3, 4)))) == 48
     assert len(enumerate_paths(generate_mesh((2, 2)))) == 4
     assert len(enumerate_paths(generate_mesh((2, 2, 2)))) == 8
-
-
-def test_mean_trust_reference_values(demo_topology):
-    assert path_mean_trust(demo_topology, ("S", "3", "7", "11", "D")) == pytest.approx(
-        0.8125, abs=TOL
-    )
-    assert path_mean_untrust(demo_topology, ("S", "3", "7", "11", "D")) == pytest.approx(
-        0.1875, abs=TOL
-    )
-    assert path_mean_trust(demo_topology, ("S", "1", "7", "11", "D")) == pytest.approx(
-        0.825, abs=TOL
-    )
-    assert path_mean_untrust(demo_topology, ("S", "1", "7", "11", "D")) == pytest.approx(
-        0.175, abs=TOL
-    )
 
 
 def test_mean_trust_extremes():
