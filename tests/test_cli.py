@@ -24,6 +24,7 @@ from trustpath import (
     fixture_topology,
     generate_mesh,
     parse_topology,
+    rank_paths,
     serialize_topology,
 )
 from trustpath import cli
@@ -45,6 +46,47 @@ def _child_env(unbuffered: bool = False, **variables: str) -> dict:
     return {**env, "PYTHONUNBUFFERED": "1"} if unbuffered else env
 
 
+def test_check_reference_path_text(demo_file, capsys):
+    code, out, err = run_cli(capsys, "check", "S,3,7,11,D", "--topology", demo_file)
+    assert code == 0
+    assert err == ""
+    hops = [line for line in out.splitlines() if line.startswith("hop ")]
+    assert hops == [
+        "hop 1 S→3 trust=0.51 untrust=0.05 acceptable",
+        "hop 2 3→7 trust=0.53 untrust=0.40 acceptable",
+        "hop 3 7→11 trust=0.70 untrust=0.26 acceptable",
+        "hop 4 11→D trust=0.55 untrust=0.23 acceptable",
+    ]
+    assert "confidential yes" in out
+
+
+def test_check_untrust_mode(demo_file, capsys):
+    code, out, _ = run_cli(capsys, "check", "S,3,7,11,D", "-t", demo_file, "--mode", "untrust")
+    assert code == 0
+    hops = [line for line in out.splitlines() if line.startswith("hop ")]
+    assert hops == [
+        "hop 1 S→3 trust=0.50 untrust=0.00 acceptable",
+        "hop 2 3→7 trust=0.50 untrust=0.02 acceptable",
+        "hop 3 7→11 trust=0.66 untrust=0.19 acceptable",
+        "hop 4 11→D trust=0.53 untrust=0.04 acceptable",
+    ]
+
+
+def test_check_both_modes(demo_file, capsys):
+    code, out, _ = run_cli(capsys, "check", "S,3,7,11,D", "-t", demo_file, "--mode", "both")
+    assert code == 0
+    assert out.count("confidential yes") == 2
+    assert out.count("mode trust") == 1
+    assert out.count("mode untrust") == 1
+
+
+def test_check_failing_path_exits_two(dead_end_file, capsys):
+    code, out, _ = run_cli(capsys, "check", "S,a,D", "-t", dead_end_file)
+    assert code == 2
+    assert "not_acceptable" in out
+    assert "confidential no" in out
+
+
 def test_check_unknown_edge_is_input_error(demo_file, capsys):
     code, _, err = run_cli(capsys, "check", "S,D", "-t", demo_file)
     assert code == 1
@@ -54,6 +96,40 @@ def test_check_unknown_edge_is_input_error(demo_file, capsys):
 def test_check_empty_node_id_is_input_error(demo_file, capsys):
     code, out, err = run_cli(capsys, "check", "S,,D", "-t", demo_file)
     assert (code, out, err) == (1, "", "error: empty node id in path spec 'S,,D'\n")
+
+
+def test_check_output_chaining_flag(demo_file, capsys):
+    code, out, _ = run_cli(
+        capsys, "check", "S,3,7,11,D", "-t", demo_file, "--chaining", "output", "--decimals", "4"
+    )
+    assert code == 0
+    hops = [line for line in out.splitlines() if line.startswith("hop ")]
+    assert "trust=0.3101" in hops[1]
+    assert "untrust=0.2290" in hops[1]
+
+
+def test_rank_text_table(demo_file, capsys):
+    code, out, _ = run_cli(capsys, "rank", "-t", demo_file, "--top", "2")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0].split() == ["rank", "path", "mean_trust", "mean_untrust", "class"]
+    assert lines[1].split() == ["1", "S→1→7→11→D", "0.82", "0.17", "H"]
+    assert lines[2].split() == ["2", "S→3→7→11→D", "0.81", "0.18", "H"]
+
+
+def test_rank_csv_full_precision(demo_file, capsys):
+    code, out, _ = run_cli(capsys, "rank", "-t", demo_file, "--format", "csv")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["rank", "path", "mean_trust", "mean_untrust", "class"]
+    _count, ranked = rank_paths(fixture_topology())
+    assert len(rows) - 1 == len(ranked) == 48
+    for row, entry in zip(rows[1:], ranked):
+        assert int(row[0]) == entry.rank
+        assert row[1] == "→".join(entry.path)
+        assert float(row[2]) == entry.mean_trust
+        assert float(row[3]) == entry.mean_untrust
+        assert row[4] == entry.trust_class.code
 
 
 def test_rank_json_shape(demo_file, capsys):
@@ -85,6 +161,54 @@ def test_rank_rejects_bad_top(demo_file, capsys):
     assert "--top" in err
 
 
+def test_route_text(demo_file, capsys):
+    code, out, _ = run_cli(capsys, "route", "-t", demo_file)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "route S→3→7→11→D"
+    assert len([line for line in lines if line.startswith("step ")]) == 4
+    assert "reached yes" in lines
+    assert "mean_trust 0.81" in lines
+
+
+def test_route_dead_end_exits_two(dead_end_file, capsys):
+    code, out, _ = run_cli(capsys, "route", "-t", dead_end_file)
+    assert code == 2
+    assert "route S" in out.splitlines()[0]
+    assert "reached no" in out
+    assert "stuck S" in out
+
+
+def test_route_json_payload(demo_file, capsys):
+    code, out, _ = run_cli(capsys, "route", "-t", demo_file, "--format", "json")
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert results["reached"] is True
+    assert results["path"] == ["S", "3", "7", "11", "D"]
+    assert results["stuck"] is None
+    assert results["mean_trust"] == 0.8125
+    assert [step["to"] for step in results["steps"]] == ["3", "7", "11", "D"]
+
+
+def test_route_csv_denormalizes_mean(demo_file, capsys):
+    code, out, _ = run_cli(capsys, "route", "-t", demo_file, "--format", "csv")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0][-1] == "mean_trust"
+    assert len(rows) == 5
+    assert {row[-1] for row in rows[1:]} == {"0.8125"}
+
+
+def test_enumerate_text(demo_file, capsys):
+    code, out, _ = run_cli(capsys, "enumerate", "-t", demo_file)
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 48
+    assert lines[0] == "1 S→1→5→8→D"
+    assert lines[35] == "36 S→3→7→11→D"
+    assert lines[47] == "48 S→4→7→11→D"
+
+
 def test_enumerate_cap_exits_three(demo_file, capsys):
     code, out, err = run_cli(capsys, "enumerate", "-t", demo_file, "--cap", "10")
     assert code == 3
@@ -96,6 +220,23 @@ def test_enumerate_cap_one_lists_a_single_path(tmp_path, capsys):
     path = tmp_path / "one-edge.trust"
     path.write_text("node S\nnode D\nsource S\ndest D\nedge S D 0.9\n", encoding="utf-8")
     assert run_cli(capsys, "enumerate", "-t", str(path), "--cap", "1") == (0, "1 S→D\n", "")
+
+
+def test_fixture_emits_reparsable_demo(capsys):
+    code, out, err = run_cli(capsys, "fixture")
+    assert code == 0
+    assert err == ""
+    assert "edge S 3 0.95 0.05" in out.splitlines()
+    reparsed = parse_topology(out)
+    assert reparsed == fixture_topology()
+
+
+def test_fixture_pipes_into_route(capsys, monkeypatch):
+    _, document, _ = run_cli(capsys, "fixture")
+    monkeypatch.setattr("sys.stdin", io.StringIO(document))
+    code, out, _ = run_cli(capsys, "route", "-t", "-")
+    assert code == 0
+    assert out.splitlines()[0] == "route S→3→7→11→D"
 
 
 def test_stdin_closed_is_one_error_line(capsys, monkeypatch):
@@ -223,6 +364,35 @@ def test_a_read_that_returns_none_is_waited_on(monkeypatch):
     waits = []
     monkeypatch.setattr("select.select", lambda *fds: waits.append(fds))
     assert (cli._read(raw), waits) == ("node S\nnode D\n", [([raw], [], [])] * 2)
+
+
+def test_simulate_text(demo_file, capsys):
+    code, out, _ = run_cli(capsys, "simulate", "-t", demo_file, "--packets", "25")
+    assert code == 0
+    lines = out.splitlines()
+    assert "packets_sent 25" in lines
+    assert "delivered 25" in lines
+    assert "dropped 0" in lines
+    assert "route S→3→7→11→D packets=25" in lines
+
+
+def test_simulate_json_counts(demo_file, capsys):
+    code, out, _ = run_cli(
+        capsys, "simulate", "-t", demo_file, "--packets", "8", "--format", "json"
+    )
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert results["packets_sent"] == 8
+    assert results["delivered"] == 8
+    assert results["route_usage"] == [{"path": ["S", "3", "7", "11", "D"], "packets": 8}]
+    assert results["drop_points"] == []
+
+
+def test_simulate_with_drops_still_exits_zero(dead_end_file, capsys):
+    code, out, _ = run_cli(capsys, "simulate", "-t", dead_end_file, "--packets", "4")
+    assert code == 0
+    assert "dropped 4" in out
+    assert "drop S packets=4" in out
 
 
 def test_simulate_rejects_bad_packet_count(demo_file, capsys):
@@ -510,6 +680,13 @@ def test_decimals_out_of_range_exits_one(command, fmt, demo_file, capsys):
     # main refuses it before any command runs, whether or not the format rounds
     argv = [*_INVOCATIONS[command], "-t", demo_file, "--format", fmt, "--decimals", "13"]
     assert run_cli(capsys, *argv) == (1, "", "error: decimals must be in [0, 12], got 13\n")
+
+
+def test_reruns_are_byte_identical(demo_file, capsys):
+    for fmt in ("text", "csv", "json"):
+        first = run_cli(capsys, "rank", "-t", demo_file, "--format", fmt)
+        second = run_cli(capsys, "rank", "-t", demo_file, "--format", fmt)
+        assert first == second
 
 
 def test_formats_agree_on_values(demo_file, capsys):

@@ -5,7 +5,7 @@ from math import fsum, prod
 
 import pytest
 
-from helpers import chain_topology, mesh_on_pair, random_dag, random_topology
+from helpers import brute_force_paths, chain_topology, mesh_on_pair, random_dag, random_topology
 from trustpath import (
     DEFAULT_CONSTANTS,
     ModelConstants,
@@ -61,6 +61,13 @@ def test_enumeration_cap():
     assert excinfo.value.cap == 3
     with pytest.raises(ValueError):
         enumerate_paths(topology, cap=0)
+
+
+def test_enumeration_matches_brute_force_on_random_dags():
+    rng = random.Random(77)
+    for _ in range(25):
+        topology = random_dag(rng)
+        assert sorted(enumerate_paths(topology)) == sorted(brute_force_paths(topology))
 
 
 def test_enumeration_handles_cycles():

@@ -25,6 +25,16 @@ def test_counts_are_consistent(demo_topology):
     assert sum(report.drop_points.values()) == report.dropped
 
 
+def test_report_scales_linearly(demo_topology):
+    single = simulate(demo_topology, 1)
+    batch = simulate(demo_topology, 100)
+    assert batch.packets_sent == 100 * single.packets_sent
+    assert batch.delivered == 100 * single.delivered
+    assert batch.dropped == 100 * single.dropped
+    assert batch.route_usage == {path: 100 * n for path, n in single.route_usage.items()}
+    assert batch.drop_points == {node: 100 * n for node, n in single.drop_points.items()}
+
+
 def _replay(topology, packets, constants):
     """The report of `packets` independent most_likely_route walks, tallied one by one."""
     usage, drops = Counter(), Counter()

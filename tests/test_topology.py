@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import random_topology
 from trustpath import (
     REFERENCE_EDGES,
     PathError,
@@ -341,6 +342,14 @@ def test_minimal_round_trip():
     text = serialize_topology(topology)
     assert parse_topology(text) == topology
     assert text.endswith("\n")
+
+
+def test_random_round_trips():
+    rng = random.Random(2024)
+    for _ in range(100):
+        topology = random_topology(rng)
+        again = parse_topology(serialize_topology(topology), strict=False)
+        assert again == topology
 
 
 def test_demo_fixture_shape(demo_topology):
