@@ -138,8 +138,15 @@ class Topology:
             raise PathError(f"a path needs at least two nodes, got {len(path)}")
         # The cheap checks first; then each hop's lookup also checks its nodes.
         if path[0] == self.source and path[-1] == self.destination and len(set(path)) == len(path):
+            edge = self.edge  # called from this loop, not from map: CPython 3.11+ inlines it
+            hops = iter(path)
+            src = next(hops)
+            pairs = []
             try:
-                return list(map(self.edge, path, path[1:]))
+                for dst in hops:
+                    pairs.append(edge(src, dst))
+                    src = dst
+                return pairs
             except TopologyError:
                 pass
         # Not a path: find the first rule it breaks, in the order they are listed here.

@@ -898,9 +898,10 @@ def test_a_reader_that_goes_away_ends_the_process_with_one_error_line(
     unbuffered, nonblocking, tmp_path
 ):
     process, stdout = _enumerate_into_a_pipe(tmp_path, unbuffered, nonblocking)
-    assert stdout.read(10) == "1 S→1→".encode("utf-8")
-    stdout.close()  # as `head -c 10` does
-    _, err = process.communicate(timeout=60)
+    with process, stdout:
+        assert stdout.read(10) == "1 S→1→".encode("utf-8")
+        stdout.close()  # as `head -c 10` does
+        _, err = process.communicate(timeout=60)
     assert (process.returncode, err) == (1, b"error: [Errno 32] Broken pipe\n")
 
 

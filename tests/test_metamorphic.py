@@ -11,6 +11,8 @@ from trustpath import (
     FULL_TRUST,
     Topology,
     enumerate_paths,
+    evaluate_path,
+    fixture_topology,
     most_likely_route,
     parse_topology,
     rank_paths,
@@ -103,3 +105,25 @@ def test_a_node_declared_last_with_edges_only_out_of_it_changes_nothing():
         grown = Topology([*topology.nodes, "new"], pairs, topology.source, topology.destination)
         assert enumerate_paths(grown) == enumerate_paths(topology)
         assert most_likely_route(grown) == most_likely_route(topology)
+
+
+def test_a_top_k_ranking_is_the_first_k_rows_of_the_full_ranking():
+    # One k past the count, too: the bounded heap must then keep every path.
+    # The random draws tie on no pair of means; the demo mesh ties 46 of its 48
+    # paths, so there the heap must break ties by enumeration order as well.
+    for topology in (fixture_topology(), *(topology for _, topology, _ in _draws())):
+        count, ranked = rank_paths(topology)
+        assert count == len(ranked) == len(enumerate_paths(topology))
+        for top in range(1, count + 2):
+            assert rank_paths(topology, top=top) == (count, ranked[:top])
+
+
+def test_an_arriving_route_passes_the_path_check_hop_for_hop():
+    # The walk tests each hop from the pair of the edge just taken, as the
+    # path check's default edge chaining does, so both give the same hops.
+    for _, topology, _ in _draws():
+        route = most_likely_route(topology)
+        if route.reached:
+            evaluation = evaluate_path(topology, route.path)
+            assert tuple(step.hop for step in route.steps) == evaluation.hops
+            assert evaluation.confidential

@@ -225,9 +225,14 @@ def test_path_checks_make_one_edge_lookup_per_hop(monkeypatch):
     monkeypatch.setattr(Topology, "edge", counted)
     count, _ranked = rank_paths(topology)
     assert len(calls) == 384 == count * 4 * 2  # 48 paths, 4 hops, two means
-    calls.clear()
-    evaluate_path(topology, ["S", "3", "7", "11", "D"])
-    assert calls == [("S", "3"), ("3", "7"), ("7", "11"), ("11", "D")]
+    for check in (evaluate_path, path_mean_trust, path_mean_untrust):
+        calls.clear()
+        check(topology, ["S", "3", "7", "11", "D"])
+        assert calls == [("S", "3"), ("3", "7"), ("7", "11"), ("11", "D")]
+        calls.clear()
+        with pytest.raises(PathError, match="no edge 7 -> D"):
+            check(topology, ["S", "3", "7", "D"])
+        assert calls == [("S", "3"), ("3", "7"), ("7", "D")]  # none past the missing hop
 
 
 def test_rank_demo_mesh_top_two(demo_topology):
