@@ -56,27 +56,26 @@ class Topology:
     ):
         # Each node and edge is checked as it is drawn from its iterable, which
         # lets parse_topology tell which declaration an error belongs to.
-        self._order: dict[str, int] = {}
+        # Per-source adjacency in node order: src -> {dst: pair}, each in edge declaration order.
+        self._out: dict[str, dict[str, TrustPair]] = {}
         for node in nodes:
             _check_node_id(node)
-            if node in self._order:
+            if node in self._out:
                 raise TopologyError(f"duplicate node {node!r}")
-            self._order[node] = len(self._order)
-        self.nodes: tuple[str, ...] = tuple(self._order)
+            self._out[node] = {}
+        self.nodes: tuple[str, ...] = tuple(self._out)
         for role, name in (("source", source), ("destination", destination)):
-            if name not in self._order:
+            if name not in self._out:
                 raise TopologyError(f"{role} {name!r} is not a declared node")
         if source == destination:
             raise TopologyError("source and destination must differ")
         self.source = source
         self.destination = destination
 
-        # Per-source adjacency: src -> {dst: pair}, each in edge declaration order.
-        self._out: dict[str, dict[str, TrustPair]] = {node: {} for node in self.nodes}
         for (src, dst), pair in edges.items() if isinstance(edges, Mapping) else edges:
-            if src not in self._order:  # the source is named first when both are undeclared
+            if src not in self._out:  # the source is named first when both are undeclared
                 raise TopologyError(f"edge endpoint {src!r} is not a declared node")
-            if dst not in self._order:
+            if dst not in self._out:
                 raise TopologyError(f"edge endpoint {dst!r} is not a declared node")
             if src == dst:
                 raise TopologyError(f"self-loop on {src!r} is not allowed")
@@ -87,8 +86,9 @@ class Topology:
                 raise TopologyError(f"edge {src} -> {dst} value {pair!r} is not a TrustPair")
             targets[dst] = pair
 
+        order = {node: index for index, node in enumerate(self.nodes)}
         self._successors = {
-            node: tuple(sorted(targets, key=self._order.__getitem__))
+            node: tuple(sorted(targets, key=order.__getitem__))
             for node, targets in self._out.items()
         }
         self._by_trust: dict[str, tuple[tuple[str, TrustPair], ...]] = {}
@@ -151,7 +151,7 @@ class Topology:
                 pass
         # Not a path: find the first rule it breaks, in the order they are listed here.
         for node in path:
-            if node not in self._order:
+            if node not in self._out:
                 raise PathError(f"unknown node {node!r}")
         if path[0] != self.source:
             raise PathError(f"path must start at source {self.source!r}, not {path[0]!r}")
