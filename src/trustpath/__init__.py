@@ -35,10 +35,8 @@ from .pathing import (
 )
 from .propagation import (
     VERDICT_TOL,
-    Chaining,
     HopResult,
     PathEvaluation,
-    TestMode,
     Verdict,
     evaluate_path,
     propagate_trust_hop,

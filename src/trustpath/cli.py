@@ -16,7 +16,7 @@ from .pathing import (
     path_mean_trust,
     rank_paths,
 )
-from .propagation import Chaining, evaluate_path
+from .propagation import CHAININGS, MODES, evaluate_path
 from .sim import simulate
 from .topology import PathError, TopologyError, fixture_topology, parse_topology, serialize_topology
 
@@ -75,10 +75,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--chaining",
-        choices=[c.value for c in Chaining],
-        default=Chaining.EDGE.value,
+        choices=CHAININGS,
+        default=CHAININGS[0],
         help="arrival state for hops after the first: the previous edge's pair "
-        "or the previous hop's output (default: edge)",
+        "or the previous hop's output (default: %(default)s)",
     )
     common.add_argument(
         "--cap",
@@ -109,9 +109,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parsers["check"].add_argument(
         "--mode",
-        choices=("trust", "untrust", "both"),
-        default="trust",
-        help="which per-hop test to run (default: trust)",
+        choices=(*MODES, "both"),
+        default=MODES[0],
+        help="which per-hop test to run (default: %(default)s)",
     )
     parsers["rank"].add_argument("--top", type=int, metavar="N", help="show only the N best paths")
     parsers["simulate"].add_argument(
@@ -238,7 +238,7 @@ def _cmd_check(args: argparse.Namespace) -> tuple[int, str]:
     nodes = tuple(token.strip() for token in args.path_spec.split(","))
     if any(not node for node in nodes):
         raise PathError(f"empty node id in path spec {args.path_spec!r}")
-    modes = ("trust", "untrust") if args.mode == "both" else (args.mode,)
+    modes = MODES if args.mode == "both" else (args.mode,)
     tables = []  # one (mode, confidential, rows) table per mode
     for mode in modes:
         evaluation = evaluate_path(topology, nodes, args.constants, mode, args.chaining)

@@ -11,6 +11,10 @@ from .topology import Topology
 #: fraction of the larger one, so the verdict does not depend on scale.
 VERDICT_TOL = 1e-12
 
+#: The names of the two per-hop tests and of the two arrival rules, each default first.
+MODES = ("trust", "untrust")
+CHAININGS = ("edge", "output")
+
 
 class Verdict(Enum):
     """Outcome of comparing a hop's trust component against its untrust component."""
@@ -21,26 +25,6 @@ class Verdict(Enum):
 
     def __str__(self) -> str:
         return self.value
-
-
-class TestMode(Enum):
-    """Which of the two per-hop matrix tests to run."""
-
-    __test__ = False  # not a test case, despite the name
-
-    TRUST = "trust"
-    UNTRUST = "untrust"
-
-
-class Chaining(Enum):
-    """How hop k's arrival state is formed for k > 1.
-
-    EDGE (the default) feeds the trust pair of edge k - 1 forward;
-    OUTPUT feeds hop k - 1's output vector forward instead.
-    """
-
-    EDGE = "edge"
-    OUTPUT = "output"
 
 
 class HopResult(NamedTuple):
@@ -61,7 +45,7 @@ class PathEvaluation(NamedTuple):
 
     path: tuple[str, ...]
     hops: tuple[HopResult, ...]
-    mode: TestMode
+    mode: str
 
     @property
     def confidential(self) -> bool:
@@ -121,22 +105,26 @@ def evaluate_path(
     topology: Topology,
     path: tuple[str, ...] | list[str],
     constants: ModelConstants = DEFAULT_CONSTANTS,
-    mode: TestMode | str = TestMode.TRUST,
-    chaining: Chaining | str = Chaining.EDGE,
+    mode: str = "trust",
+    chaining: str = "edge",
 ) -> PathEvaluation:
-    """Chain the per-hop test along a source-to-destination path.
+    """Chain the "trust" or "untrust" hop test along a source-to-destination path.
 
-    Hop 1 always starts from full trust (1, 0). Under EDGE chaining hop
-    k > 1 arrives with the pair of edge k - 1; under OUTPUT chaining it
+    Hop 1 always starts from full trust (1, 0). Under "edge" chaining hop
+    k > 1 arrives with the pair of edge k - 1; under "output" chaining it
     arrives with hop k - 1's output vector, which may drift outside
     [0, 1]; should it pass the largest float, TrustValueError names the
-    hop. The path must be a valid simple path of the topology. mode and
-    chaining also take their members' values, such as "untrust".
+    hop. The path must be a valid simple path of the topology. Any other
+    mode or chaining name raises ValueError.
     """
-    mode, chaining = TestMode(mode), Chaining(chaining)
+    if mode not in MODES:
+        raise ValueError(f"mode must be {' or '.join(MODES)}, not {mode!r}")
+    if chaining not in CHAININGS:
+        raise ValueError(f"chaining must be {' or '.join(CHAININGS)}, not {chaining!r}")
     nodes = tuple(path)
     pairs = topology.path_pairs(nodes)
-    hop_test = propagate_trust_hop if mode is TestMode.TRUST else propagate_untrust_hop
+    hop_test = propagate_trust_hop if mode == "trust" else propagate_untrust_hop
+    edge_arrives = chaining == "edge"
     hops: list[HopResult] = []
     arrival: TrustPair | HopResult = FULL_TRUST
     for number, (src, dst, edge) in enumerate(zip(nodes, nodes[1:], pairs), start=1):
@@ -144,5 +132,5 @@ def evaluate_path(
         if not (math.isfinite(hop.trust) and math.isfinite(hop.untrust)):
             raise TrustValueError(f"hop {number} {src} -> {dst}: output overflows the float range")
         hops.append(hop)
-        arrival = edge if chaining is Chaining.EDGE else hop
+        arrival = edge if edge_arrives else hop
     return PathEvaluation(nodes, tuple(hops), mode)

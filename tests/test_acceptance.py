@@ -15,9 +15,7 @@ import pytest
 
 from helpers import brute_force_paths, mesh_on_pair, random_dag, random_topology, run_cli
 from trustpath import (
-    Chaining,
     DEFAULT_CONSTANTS,
-    TestMode,
     display_round,
     enumerate_paths,
     evaluate_path,
@@ -58,7 +56,7 @@ def announce(capsys):
 def test_criterion_1_trust_chain_values_and_display(demo_topology, announce):
     with announce(1, "trust-test chain along S-3-7-11-D"):
         evaluation = evaluate_path(
-            demo_topology, REFERENCE_PATH, DEFAULT_CONSTANTS, TestMode.TRUST, Chaining.EDGE
+            demo_topology, REFERENCE_PATH, DEFAULT_CONSTANTS, "trust", "edge"
         )
         expected = [(0.51, 0.05), (0.5345, 0.405), (0.706, 0.26), (0.559, 0.23)]
         shown = [("0.51", "0.05"), ("0.53", "0.40"), ("0.70", "0.26"), ("0.55", "0.23")]
@@ -75,7 +73,7 @@ def test_criterion_1_trust_chain_values_and_display(demo_topology, announce):
 def test_criterion_2_untrust_chain_values_and_display(demo_topology, announce):
     with announce(2, "untrust-test chain along S-3-7-11-D"):
         evaluation = evaluate_path(
-            demo_topology, REFERENCE_PATH, DEFAULT_CONSTANTS, TestMode.UNTRUST, Chaining.EDGE
+            demo_topology, REFERENCE_PATH, DEFAULT_CONSTANTS, "untrust", "edge"
         )
         expected = [(0.5, 0.0), (0.505, 0.0245), (0.66, 0.196), (0.53, 0.049)]
         shown = [("0.50", "0.00"), ("0.50", "0.02"), ("0.66", "0.19"), ("0.53", "0.04")]
@@ -123,7 +121,7 @@ def test_criterion_5_best_rank_differs_from_greedy_route(demo_topology, announce
 
 def test_criterion_6_reference_hops_all_acceptable(demo_topology, announce):
     with announce(6, "all eight reference hop verdicts acceptable"):
-        for mode in (TestMode.TRUST, TestMode.UNTRUST):
+        for mode in ("trust", "untrust"):
             evaluation = evaluate_path(demo_topology, REFERENCE_PATH, mode=mode)
             assert evaluation.confidential
             assert len(evaluation.hops) == 4

@@ -47,9 +47,10 @@ def _bits(pair):
     return type(pair), pair.trust.hex(), pair.untrust.hex()
 
 
-# "1e-400" underflows to 0.0; float() also reads a sign without digits before the point
-# and Unicode digits, as in "٠.٥" (0.5 in Arabic-Indic digits).
-_TOKENS = ["0", "1", "-0", ".5", "1e-400", "+.5", "٠.٥"]
+# "1e-400" underflows to 0.0; float() also reads a sign without digits before the point,
+# underscores between digits, an exponent and Unicode digits, as in "٠.٥" (0.5 in
+# Arabic-Indic digits) and "１" (a fullwidth 1).
+_TOKENS = ["0", "1", "-0", ".5", "1e-400", "+.5", "٠.٥", "0.5_0", "0.5e0", "１"]
 
 
 @given(trust=unit | st.integers(0, 1) | unit.map(repr) | st.sampled_from(_TOKENS))

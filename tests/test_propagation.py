@@ -10,10 +10,8 @@ from helpers import chain_topology
 from trustpath import (
     FULL_TRUST,
     VERDICT_TOL,
-    Chaining,
     ModelConstants,
     PathError,
-    TestMode,
     Topology,
     TrustPair,
     TrustValueError,
@@ -164,7 +162,7 @@ def test_untrust_output_closed_form_for_complementary_arrivals():
 
 def test_reference_trust_chain_on_demo_mesh(demo_topology):
     evaluation = evaluate_path(demo_topology, REFERENCE_PATH)
-    assert evaluation.mode is TestMode.TRUST
+    assert evaluation.mode == "trust"
     assert evaluation.path == REFERENCE_PATH
     assert len(evaluation.hops) == 4
     for hop, (trust, untrust) in zip(evaluation.hops, TRUST_CHAIN):
@@ -175,8 +173,8 @@ def test_reference_trust_chain_on_demo_mesh(demo_topology):
 
 
 def test_reference_untrust_chain_on_demo_mesh(demo_topology):
-    evaluation = evaluate_path(demo_topology, REFERENCE_PATH, mode=TestMode.UNTRUST)
-    assert evaluation.mode is TestMode.UNTRUST
+    evaluation = evaluate_path(demo_topology, REFERENCE_PATH, mode="untrust")
+    assert evaluation.mode == "untrust"
     for hop, (trust, untrust) in zip(evaluation.hops, UNTRUST_CHAIN):
         assert hop.trust == pytest.approx(trust, abs=TOL)
         assert hop.untrust == pytest.approx(untrust, abs=TOL)
@@ -215,7 +213,7 @@ def test_edge_chaining_equals_manual_hop_application():
 
 def test_output_chaining_trust_frozen_values(demo_topology):
     expected = [(0.51, 0.05), (0.3101, 0.229), (0.387151, 0.14551), (0.34295701, 0.1501852)]
-    evaluation = evaluate_path(demo_topology, REFERENCE_PATH, chaining=Chaining.OUTPUT)
+    evaluation = evaluate_path(demo_topology, REFERENCE_PATH, chaining="output")
     for hop, (trust, untrust) in zip(evaluation.hops, expected):
         assert hop.trust == pytest.approx(trust, abs=TOL)
         assert hop.untrust == pytest.approx(untrust, abs=TOL)
@@ -227,9 +225,7 @@ def test_output_chaining_matches_numpy_chain(demo_topology):
     rng = random.Random(9)
     for constants in [ModelConstants()] + [random_constants(rng) for _ in range(20)]:
         vector = np.array([1.0, 0.0])
-        evaluation = evaluate_path(
-            demo_topology, REFERENCE_PATH, constants, chaining=Chaining.OUTPUT
-        )
+        evaluation = evaluate_path(demo_topology, REFERENCE_PATH, constants, chaining="output")
         for hop, edge_values in zip(evaluation.hops, REFERENCE_EDGE_VALUES):
             vector = vector @ trust_test_matrix(make_pair(*edge_values), constants)
             assert hop.trust == pytest.approx(vector[0], abs=1e-15)
@@ -239,9 +235,7 @@ def test_output_chaining_matches_numpy_chain(demo_topology):
 def test_output_chaining_untrust_frozen_values(demo_topology):
     # the untrust component dies after hop 1 and the trust slot halves each hop
     expected = [(0.5, 0.0), (0.25, 0.0), (0.125, 0.0), (0.0625, 0.0)]
-    evaluation = evaluate_path(
-        demo_topology, REFERENCE_PATH, mode=TestMode.UNTRUST, chaining=Chaining.OUTPUT
-    )
+    evaluation = evaluate_path(demo_topology, REFERENCE_PATH, mode="untrust", chaining="output")
     for hop, (trust, untrust) in zip(evaluation.hops, expected):
         assert hop.trust == pytest.approx(trust, abs=TOL)
         assert hop.untrust == pytest.approx(untrust, abs=TOL)
@@ -251,7 +245,7 @@ def test_output_chaining_verdicts_do_not_depend_on_scale():
     # Both components shrink by about 0.82 per hop, to 1e-171 by the end,
     # while trust stays about 3.2 times untrust: every hop is acceptable.
     chain = chain_topology(2000, 0.9)
-    evaluation = evaluate_path(chain, chain.nodes, chaining=Chaining.OUTPUT)
+    evaluation = evaluate_path(chain, chain.nodes, chaining="output")
     assert evaluation.hops[-1].trust < 1e-170
     assert all(hop.verdict is Verdict.ACCEPTABLE for hop in evaluation.hops)
 
@@ -263,24 +257,30 @@ def test_output_chaining_overflow_names_the_hop():
         trust, untrust, hop = trust * 0.51 + untrust * 1.0, trust * 1.0 + untrust * 0.5, hop + 1
     chain = chain_topology(2000, 0.0)
     with pytest.raises(TrustValueError, match=rf"^hop {hop} n{hop - 1} -> n{hop}: "):
-        evaluate_path(chain, chain.nodes, chaining=Chaining.OUTPUT)
+        evaluate_path(chain, chain.nodes, chaining="output")
     assert evaluate_path(chain, chain.nodes).confidential is False  # edge chaining stays finite
 
 
-@pytest.mark.parametrize("mode", list(TestMode))
-@pytest.mark.parametrize("chaining", list(Chaining))
+@pytest.mark.parametrize("mode", ["trust", "untrust"])
+@pytest.mark.parametrize("chaining", ["edge", "output"])
 def test_evaluate_path_takes_mode_and_chaining_names(demo_topology, mode, chaining):
-    by_member = evaluate_path(demo_topology, REFERENCE_PATH, mode=mode, chaining=chaining)
-    by_name = evaluate_path(demo_topology, REFERENCE_PATH, mode=mode.value, chaining=chaining.value)
-    assert by_name == by_member
-    assert by_name.mode is mode
+    evaluation = evaluate_path(demo_topology, REFERENCE_PATH, mode=mode, chaining=chaining)
+    assert evaluation.mode == mode
 
 
-def test_evaluate_path_rejects_unknown_mode_and_chaining_names(demo_topology):
-    with pytest.raises(ValueError):
-        evaluate_path(demo_topology, REFERENCE_PATH, mode="x")
-    with pytest.raises(ValueError):
-        evaluate_path(demo_topology, REFERENCE_PATH, chaining="x")
+@pytest.mark.parametrize(
+    ("keyword", "message"),
+    [
+        ({"mode": "x"}, "mode must be trust or untrust, not 'x'"),
+        ({"mode": "both"}, "mode must be trust or untrust, not 'both'"),
+        ({"mode": "TRUST"}, "mode must be trust or untrust, not 'TRUST'"),
+        ({"chaining": "x"}, "chaining must be edge or output, not 'x'"),
+    ],
+)
+def test_evaluate_path_rejects_unknown_mode_and_chaining_names(demo_topology, keyword, message):
+    with pytest.raises(ValueError) as raised:
+        evaluate_path(demo_topology, REFERENCE_PATH, **keyword)
+    assert str(raised.value) == message
 
 
 def test_evaluate_path_rejects_bad_paths(demo_topology):

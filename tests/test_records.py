@@ -18,7 +18,6 @@ from trustpath import (
     RouteResult,
     RouteStep,
     SimReport,
-    TestMode,
     TrustClass,
     TrustPair,
     TrustValueError,
@@ -34,8 +33,8 @@ RECORDS = [
     (HopResult, {"trust": 0.7, "untrust": 0.3, "verdict": Verdict.ACCEPTABLE}, ("trust", 0.6)),
     (
         PathEvaluation,
-        {"path": ("S", "D"), "hops": (HOP,), "mode": TestMode.TRUST},
-        ("mode", TestMode.UNTRUST),
+        {"path": ("S", "D"), "hops": (HOP,), "mode": "trust"},
+        ("mode", "untrust"),
     ),
     (
         RankedPath,
@@ -106,9 +105,9 @@ def test_record_is_an_immutable_named_tuple_equal_by_value(record_type, values, 
 
 
 def test_record_properties():
-    assert PathEvaluation(("S", "D"), (HOP,), TestMode.TRUST).confidential
+    assert PathEvaluation(("S", "D"), (HOP,), "trust").confidential
     blocked = HopResult(0.3, 0.7, Verdict.NOT_ACCEPTABLE)
-    assert not PathEvaluation(("S", "D"), (HOP, blocked), TestMode.TRUST).confidential
+    assert not PathEvaluation(("S", "D"), (HOP, blocked), "trust").confidential
     assert RouteResult(("S", "D"), (STEP,), True).stuck_node is None
     assert RouteResult(("S", "a"), (), False).stuck_node == "a"
 

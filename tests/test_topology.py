@@ -200,7 +200,10 @@ def _reference_parse(text: str, strict: bool) -> Topology:
 # Every character str.split() splits at (none lies above U+3000), except the two that end a line.
 _SPACES = "".join(ch for ch in map(chr, range(0x3001)) if ch.isspace() and ch not in "\r\n")
 _WORDS = ("node", "source", "dest", "edge", "link", "Node", "S", "D", "a", "b")
-_VALUES = ("0.5", "0.25", "0.75", "1", "-0", "abc", "1.5", "nan", "1e-400", "+.5")
+_VALUES = (
+    *("0.5", "0.25", "0.75", "1", "-0", "abc", "1.5", "nan", "1e-400", "+.5"),
+    *("0.5_0", "0.5e0", "１"),  # float() spellings: underscore, exponent, fullwidth digit
+)
 
 
 @st.composite
