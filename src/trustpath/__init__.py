@@ -12,8 +12,8 @@ from .core import (
     COMPLEMENT_TOL,
     DEFAULT_CONSTANTS,
     FULL_TRUST,
+    TRUST_CLASSES,
     ModelConstants,
-    TrustClass,
     TrustPair,
     TrustValueError,
     classify,

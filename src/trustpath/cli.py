@@ -282,7 +282,7 @@ def _cmd_rank(args: argparse.Namespace) -> tuple[int, str]:
     header = ("rank", "path", "mean_trust", "mean_untrust", "class")
     join = args.format != "json"  # text and CSV write a path as one arrow-joined cell
     rows = [
-        (rank, ARROW.join(path) if join else path, trust, untrust, label.code)
+        (rank, ARROW.join(path) if join else path, trust, untrust, label)
         for path, trust, untrust, label, rank in ranked
     ]
 

@@ -2,7 +2,6 @@
 
 import math
 from bisect import bisect_right
-from enum import IntEnum
 from typing import NamedTuple
 
 #: Allowed deviation of trust + untrust from 1 when both components are given.
@@ -26,24 +25,9 @@ def _unit(value, label: str) -> float:
     return number + 0.0  # -0.0 + 0.0 is 0.0
 
 
-class TrustClass(IntEnum):
-    """Linguistic trust labels, ordered from least to most trusted."""
-
-    VERY_LOW = 1
-    LOW = 2
-    INDIFFERENT = 3
-    HIGH = 4
-    VERY_HIGH = 5
-
-    @property
-    def code(self) -> str:
-        """Short display code: VL, L, I, H or VH."""
-        return _CODES[self - 1]
-
-
-# The scale, ascending: a value takes the label whose band anchor is the greatest at or below it.
-_CLASSES = tuple(TrustClass)
-_CODES = ("VL", "L", "I", "H", "VH")
+#: The linguistic scale's codes, ascending: very low, low, indifferent, high, very high.
+TRUST_CLASSES = ("VL", "L", "I", "H", "VH")
+# A value takes the class whose band anchor is the greatest at or below it.
 _ANCHORS = (0.00, 0.30, 0.50, 0.70, 0.85)
 
 
@@ -122,14 +106,14 @@ def make_pair(
     return pair
 
 
-def classify(trust: float) -> TrustClass:
-    """Map a numeric trust value in [0, 1] onto the five-label scale.
+def classify(trust: float) -> str:
+    """Map a numeric trust value in [0, 1] onto the five-label scale, as its code.
 
     Band anchors are 0.85, 0.70, 0.50, 0.30 and 0.00; the label is the
     one with the greatest anchor at or below the value, so e.g. 0.85
-    is VERY_HIGH and 0.8499 is HIGH.
+    is "VH" and 0.8499 is "H".
     """
-    return _CLASSES[bisect_right(_ANCHORS, _unit(trust, "trust value")) - 1]
+    return TRUST_CLASSES[bisect_right(_ANCHORS, _unit(trust, "trust value")) - 1]
 
 
 #: The most decimal places display_round renders.

@@ -3,7 +3,7 @@
 import heapq
 from typing import NamedTuple
 
-from .core import DEFAULT_CONSTANTS, FULL_TRUST, ModelConstants, TrustClass, TrustPair, classify
+from .core import DEFAULT_CONSTANTS, FULL_TRUST, ModelConstants, TrustPair, classify
 from .propagation import HopResult, Verdict, propagate_trust_hop
 from .topology import Topology
 
@@ -80,7 +80,7 @@ class RankedPath(NamedTuple):
     path: Path
     mean_trust: float
     mean_untrust: float
-    trust_class: TrustClass
+    trust_class: str
     rank: int
 
 

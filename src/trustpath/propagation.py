@@ -31,7 +31,7 @@ class HopResult(NamedTuple):
     """Output vector of one hop test plus its acceptance verdict.
 
     The components live in the (trust, untrust) slots regardless of test
-    mode; under OUTPUT chaining they may leave [0, 1] after several hops,
+    mode; under "output" chaining they may leave [0, 1] after several hops,
     so they are plain floats rather than a TrustPair.
     """
 

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from trustpath import (
     FULL_TRUST,
+    TRUST_CLASSES,
     ModelConstants,
     TopologyParseError,
-    TrustClass,
     TrustPair,
     TrustValueError,
     classify,
@@ -155,22 +155,25 @@ def test_pair_is_slotted_frozen_hashable_and_equal_by_value():
 
 
 def test_classify_scale_values():
-    assert classify(1.0) is TrustClass.VERY_HIGH
-    assert classify(0.8125) is TrustClass.HIGH
-    assert classify(0.5) is TrustClass.INDIFFERENT
-    assert classify(0.31) is TrustClass.LOW
-    assert classify(0.0) is TrustClass.VERY_LOW
+    assert classify(1.0) == "VH"
+    assert classify(0.8125) == "H"
+    assert classify(0.5) == "I"
+    assert classify(0.31) == "L"
+    assert classify(0.0) == "VL"
 
 
 def test_classify_band_anchors():
-    assert classify(0.85) is TrustClass.VERY_HIGH
-    assert classify(0.8499) is TrustClass.HIGH
-    assert classify(0.70) is TrustClass.HIGH
-    assert classify(0.6999) is TrustClass.INDIFFERENT
-    assert classify(0.50) is TrustClass.INDIFFERENT
-    assert classify(0.4999) is TrustClass.LOW
-    assert classify(0.30) is TrustClass.LOW
-    assert classify(0.2999) is TrustClass.VERY_LOW
+    assert classify(0.85) == "VH"
+    assert classify(0.8499) == "H"
+    assert classify(0.70) == "H"
+    assert classify(0.6999) == "I"
+    assert classify(0.50) == "I"
+    assert classify(0.4999) == "L"
+    assert classify(0.30) == "L"
+    assert classify(0.2999) == "VL"
+    # Each anchor above 0 is its class's least value: the float just below is in the class below.
+    for anchor, below in ((0.85, "H"), (0.70, "I"), (0.50, "L"), (0.30, "VL")):
+        assert classify(math.nextafter(anchor, 0)) == below
 
 
 def test_classify_rejects_out_of_range():
@@ -189,19 +192,11 @@ def test_classify_names_its_value():
 @given(a=unit, b=unit)
 def test_classify_is_monotone(a, b):
     low, high = sorted((a, b))
-    assert classify(low) <= classify(high)
+    assert TRUST_CLASSES.index(classify(low)) <= TRUST_CLASSES.index(classify(high))
 
 
 def test_class_order_and_codes():
-    ordered = [
-        TrustClass.VERY_LOW,
-        TrustClass.LOW,
-        TrustClass.INDIFFERENT,
-        TrustClass.HIGH,
-        TrustClass.VERY_HIGH,
-    ]
-    assert sorted(TrustClass) == ordered
-    assert [label.code for label in ordered] == ["VL", "L", "I", "H", "VH"]
+    assert TRUST_CLASSES == ("VL", "L", "I", "H", "VH")
 
 
 def test_display_round_truncates():

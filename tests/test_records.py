@@ -18,7 +18,6 @@ from trustpath import (
     RouteResult,
     RouteStep,
     SimReport,
-    TrustClass,
     TrustPair,
     TrustValueError,
     Verdict,
@@ -42,7 +41,7 @@ RECORDS = [
             "path": ("S", "1", "D"),
             "mean_trust": 0.85,
             "mean_untrust": 0.15,
-            "trust_class": TrustClass.VERY_HIGH,
+            "trust_class": "VH",
             "rank": 1,
         },
         ("rank", 2),
